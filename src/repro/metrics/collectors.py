@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.metrics.stats import Reservoir, SummaryStats, summarize
 
@@ -81,6 +81,8 @@ class PipelineMetrics:
         self._latencies: Dict[str, Reservoir] = defaultdict(Reservoir)
         #: optional TimeSeriesRegistry sink, attached by the server
         self.timeseries = None
+        #: plane -> its (requests, latency, errors) series names
+        self._series_names: Dict[str, Tuple[str, str, str]] = {}
 
     def observe(self, plane: str, latency: Optional[float] = None,
                 error_type: Optional[str] = None,
@@ -95,12 +97,17 @@ class PipelineMetrics:
             by_type[error_type] += 1
         ts = self.timeseries
         if ts is not None:
-            ts.inc(f"pipeline.requests.{plane}")
+            names = self._series_names.get(plane)
+            if names is None:
+                names = self._series_names[plane] = (
+                    f"pipeline.requests.{plane}",
+                    f"pipeline.latency.{plane}",
+                    f"pipeline.errors.{plane}")
+            ts.inc(names[0])
             if latency is not None:
-                ts.observe(f"pipeline.latency.{plane}", latency,
-                           exemplar=exemplar)
+                ts.observe(names[1], latency, exemplar=exemplar)
             if error_type is not None:
-                ts.inc(f"pipeline.errors.{plane}")
+                ts.inc(names[2])
 
     # -- reduction --------------------------------------------------------
     def requests(self, plane: Optional[str] = None) -> int:
@@ -119,6 +126,11 @@ class PipelineMetrics:
     def latency_stats(self, plane: str) -> SummaryStats:
         reservoir = self._latencies.get(plane)
         return reservoir.stats() if reservoir is not None else summarize(())
+
+    def latency_p99(self, plane: str) -> float:
+        """``latency_stats(plane).p99``, computing only that percentile."""
+        reservoir = self._latencies.get(plane)
+        return reservoir.percentile(99) if reservoir is not None else 0.0
 
     def planes(self) -> List[str]:
         return sorted(self._requests)
@@ -269,11 +281,17 @@ class StorageMetrics:
         #: optional RequestCostLedger — WAL appends made while a request
         #: is being handled join that request's cost vector
         self.ledger = None
+        #: counter name -> its ``storage.<name>`` series name
+        self._series_names: Dict[str, str] = {}
 
     def count(self, name: str, n: int = 1) -> None:
         self._counters[name] += n
-        if self.timeseries is not None:
-            self.timeseries.inc(f"storage.{name}", n)
+        ts = self.timeseries
+        if ts is not None:
+            series = self._series_names.get(name)
+            if series is None:
+                series = self._series_names[name] = f"storage.{name}"
+            ts.inc(series, n)
         if self.ledger is not None and name == "wal_appends":
             self.ledger.charge("wal_appends", n,
                                plane="storage", operation="append")

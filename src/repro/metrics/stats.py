@@ -135,6 +135,15 @@ class Reservoir:
                             p50=sampled.p50, p90=sampled.p90,
                             p99=sampled.p99, maximum=self.maximum)
 
+    def percentile(self, q: float) -> float:
+        """One sampled percentile, bit-identical to the matching
+        :meth:`stats` field (``percentile(99) == stats().p99``); 0.0 when
+        empty."""
+        if self.count == 0:
+            return 0.0
+        return float(np.percentile(np.asarray(self._samples, dtype=float),
+                                   q))
+
     def __len__(self) -> int:
         return len(self._samples)
 

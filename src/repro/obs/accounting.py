@@ -15,13 +15,21 @@ burning it.  Three cooperating pieces:
   — join the same vector either through the request's propagated trace
   context (``Frame.trace_ctx``) or through the per-process attribution
   scope the interceptor activates, the same scoping discipline the tracer
-  uses.  Aggregates roll into a private
-  :class:`~repro.obs.TimeSeriesRegistry` (``cost.<dim>.<plane>``) so cost
-  history merges into fleet-wide telemetry views.
+  uses.  Each charge makes one write on the hot path — the rollup
+  entry — plus the heavy-hitter sketch update.  The ledger's totals are
+  summed from the entries when read, and the per-plane cost history
+  (``cost.<dim>.<plane>`` counters in a private
+  :class:`~repro.obs.TimeSeriesRegistry`, so it merges into fleet-wide
+  telemetry views) is written once per (dimension, plane) per bucket
+  from a pending tally, flushed when the bucket rolls and before any
+  read of ``timeseries``.
 - :class:`SpaceSaving` — a top-K heavy-hitter sketch (Metwally et al.)
   per cost dimension, keyed by principal, so "who is the noisy neighbor"
   is answerable in O(K) memory at 10^5-session scale without keeping a
-  counter per principal.
+  counter per principal.  The sketch is fed per charge, in charge order,
+  on purpose: an exact top-K computed from the entries at read time
+  moved E14's worst-case detection latency from 0.25 s to 1.75 s, since
+  E14's one-bucket detection relies on the sketch's over-estimate.
 - :class:`DispatchProfiler` — a continuous sampling profiler for the real
   time axis.  It rides the kernel dispatch loop: on a wall-clock
   interval it times exactly one callback dispatch and folds the sample
@@ -35,7 +43,7 @@ golden experiment tables are bit-for-bit identical with accounting on or
 off.  All vector fields are integers (virtual costs are exact by
 construction; wall time is truncated to µs), which is what makes the
 partition invariant testable bit-for-bit: the per-principal vectors sum
-*exactly* to the ledger's running totals, in any merge order.
+*exactly* to the ledger's totals, in any merge order.
 
 Boundary: the rest of the tree names only :class:`RequestCostLedger`,
 :class:`AccountingInterceptor`, :class:`DispatchProfiler`, and
@@ -84,9 +92,6 @@ class CostVector:
     def __init__(self) -> None:
         for dim in ALL_DIMENSIONS:
             setattr(self, dim, 0)
-
-    def bump(self, dim: str, n: int) -> None:
-        setattr(self, dim, getattr(self, dim) + n)
 
     def add(self, other: "CostVector") -> "CostVector":
         for dim in ALL_DIMENSIONS:
@@ -230,11 +235,16 @@ class RequestCostLedger:
         self._events = events_fn or (lambda: 0)
         self._wall = wall_clock
         self.top_k = top_k
-        #: cost history in sim-time buckets: ``cost.<dim>.<plane>`` counters
-        self.timeseries = TimeSeriesRegistry(clock=self._clock,
-                                             bucket_width=bucket_width)
+        self._timeseries = TimeSeriesRegistry(clock=self._clock,
+                                              bucket_width=bucket_width)
+        self._width = self._timeseries.bucket_width
+        #: units charged per (dim, plane) since the last flush, all in the
+        #: tier-0 bucket ``_pending_bucket``; ``_pending_at`` is a sim
+        #: time inside that bucket to flush them at
+        self._pending: Dict[Tuple[str, str], int] = {}
+        self._pending_bucket: Optional[int] = None
+        self._pending_at = 0.0
         self.entries: Dict[Tuple[str, str, str, str], CostVector] = {}
-        self.total = CostVector()
         self.sketches: Dict[str, SpaceSaving] = {
             dim: SpaceSaving(top_k) for dim in ALL_DIMENSIONS}
         self._bindings: "OrderedDict[Any, Tuple[str, str, str, str]]" = \
@@ -251,10 +261,40 @@ class RequestCostLedger:
         entry = self.entries.get(key)
         if entry is None:
             entry = self.entries[key] = CostVector()
-        entry.bump(dim, n)
-        self.total.bump(dim, n)
+        setattr(entry, dim, getattr(entry, dim) + n)
         self.sketches[dim].add(key[0], n)
-        self.timeseries.inc(f"cost.{dim}.{key[2]}", n)
+        now = self._clock()
+        bucket = int(now // self._width)
+        if bucket != self._pending_bucket:
+            self._flush_costs()
+            self._pending_bucket, self._pending_at = bucket, now
+        pending = self._pending
+        slot = (dim, key[2])
+        pending[slot] = pending.get(slot, 0) + n
+
+    def _flush_costs(self) -> None:
+        """Write the pending per-(dim, plane) tally into its bucket."""
+        if not self._pending:
+            return
+        ts, at = self._timeseries, self._pending_at
+        for (dim, plane), n in self._pending.items():
+            ts.inc(f"cost.{dim}.{plane}", n, at=at)
+        self._pending.clear()
+
+    @property
+    def timeseries(self) -> TimeSeriesRegistry:
+        """Cost history in sim-time buckets: ``cost.<dim>.<plane>``
+        counters, with the pending tally flushed in first."""
+        self._flush_costs()
+        return self._timeseries
+
+    @property
+    def total(self) -> CostVector:
+        """Every entry summed: the ledger's totals, computed on read."""
+        out = CostVector()
+        for vec in self.entries.values():
+            out.add(vec)
+        return out
 
     def _active_key(self) -> Optional[Tuple[str, str, str, str]]:
         stack = self._active.get(self._scope())
@@ -289,24 +329,31 @@ class RequestCostLedger:
         if span_ctx is not None:
             self.bind_trace(span_ctx.trace_id, key)
 
+    def _unwind(self, scope_key: Any,
+                key: Tuple[str, str, str, str]) -> None:
+        """Drop ``key`` from a process's scope stack: the top entry when
+        scopes nest, else wherever it sits (a request opened inside a
+        ``scoped()`` block may close after the block exits)."""
+        stack = self._active.get(scope_key)
+        if not stack:
+            return
+        if stack[-1] == key:
+            stack.pop()
+        else:
+            try:
+                stack.remove(key)
+            except ValueError:
+                pass
+        if not stack:
+            del self._active[scope_key]
+
     def close_request(self, ctx: RequestContext, *,
                       error: bool = False) -> None:
         rec = ctx.attrs.pop(_OPEN_KEY, None)
         if rec is None:
             return
         key, events0, wall0 = rec
-        scope_key = self._scope()
-        stack = self._active.get(scope_key)
-        if stack:
-            if stack[-1] == key:
-                stack.pop()
-            else:  # defensive: out-of-order unwind
-                try:
-                    stack.remove(key)
-                except ValueError:
-                    pass
-            if not stack:
-                del self._active[scope_key]
+        self._unwind(self._scope(), key)
         self._charge_key(key, "requests", 1)
         if error:
             self._charge_key(key, "errors", 1)
@@ -330,11 +377,7 @@ class RequestCostLedger:
         try:
             yield key
         finally:
-            stack = self._active.get(scope_key)
-            if stack and stack[-1] == key:
-                stack.pop()
-                if not stack:
-                    del self._active[scope_key]
+            self._unwind(scope_key, key)
 
     # -- trace-context joins (network plane) --------------------------------
     def bind_trace(self, trace_id: Any,
@@ -395,14 +438,13 @@ class RequestCostLedger:
         return self.sketches[dim].top(n if n is not None else self.top_k)
 
     def merge_from(self, other: "RequestCostLedger") -> "RequestCostLedger":
-        """Fold another ledger in exactly (entries and totals are integer
-        sums, so the result is merge-order-independent bit-for-bit)."""
+        """Fold another ledger in exactly (entries are integer sums, so
+        the result is merge-order-independent bit-for-bit)."""
         for key, vec in other.entries.items():
             slot = self.entries.get(key)
             if slot is None:
                 slot = self.entries[key] = CostVector()
             slot.add(vec)
-        self.total.add(other.total)
         for dim, sketch in other.sketches.items():
             self.sketches[dim].merge_from(sketch)
         self.timeseries.merge_from(other.timeseries)

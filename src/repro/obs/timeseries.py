@@ -196,6 +196,13 @@ class LogHistogram:
                 f"buckets={len(self.buckets)})")
 
 
+def _sort_tier(tier: Dict[int, Any]) -> None:
+    """Reorder one tier's buckets by ascending index, in place."""
+    ordered = sorted(tier.items(), key=lambda item: item[0])
+    tier.clear()
+    tier.update(ordered)
+
+
 class TimeSeries:
     """One named metric stream bucketed by sim time.
 
@@ -204,7 +211,10 @@ class TimeSeries:
     land in tier 0; when a tier exceeds ``max_buckets`` its oldest
     bucket is folded into the parent bucket (``index // 2``) one tier
     up, so tiers never overlap in time and a range query is just the
-    concatenation of every tier's in-range buckets.
+    concatenation of every tier's in-range buckets.  Each tier's dict
+    keeps its keys in ascending order (new buckets are inserted in order,
+    merges and loads re-sort), so the oldest bucket is the first key and
+    the newest the last.
     """
 
     __slots__ = ("name", "kind", "width", "max_buckets", "tiers", "points")
@@ -224,59 +234,68 @@ class TimeSeries:
 
     # -- recording ---------------------------------------------------
 
-    def _tier0(self, now: float) -> int:
-        return int(now // self.width)
-
     def inc(self, now: float, n: float = 1.0) -> None:
         tier = self.tiers[0]
         index = int(now // self.width)
-        tier[index] = tier.get(index, 0.0) + n
+        value = tier.get(index)
+        if value is None:
+            self._add_bucket(0, index, 0.0 + n)
+        else:
+            tier[index] = value + n
         self.points += 1
-        if len(tier) > self.max_buckets:
-            self._evict(0)
 
     def set(self, now: float, value: float) -> None:
         tier = self.tiers[0]
         index = int(now // self.width)
-        tier[index] = value
+        if index in tier:
+            tier[index] = value
+        else:
+            self._add_bucket(0, index, value)
         self.points += 1
-        if len(tier) > self.max_buckets:
-            self._evict(0)
 
     def observe(self, now: float, value: float, exemplar: Any = None) -> None:
         tier = self.tiers[0]
         index = int(now // self.width)
         hist = tier.get(index)
         if hist is None:
-            hist = tier[index] = LogHistogram()
-            if len(tier) > self.max_buckets:
-                self._evict(0)
+            hist = LogHistogram()
+            self._add_bucket(0, index, hist)
         hist.add(value, exemplar)
         self.points += 1
+
+    def _add_bucket(self, t: int, index: int, value: Any) -> None:
+        """Insert a new bucket into tier ``t``, keeping the tier's keys in
+        ascending order (the invariant ``window_sum`` and ``_evict`` rely
+        on), then enforce the tier's bucket budget."""
+        tier = self.tiers[t]
+        late = bool(tier) and index < next(reversed(tier))
+        tier[index] = value
+        if late:
+            _sort_tier(tier)
+        if len(tier) > self.max_buckets:
+            self._evict(t)
 
     def _evict(self, t: int) -> None:
         """Downsample the oldest bucket of tier ``t`` into tier ``t+1``."""
         tier = self.tiers[t]
         while len(tier) > self.max_buckets:
-            oldest = min(tier)
+            oldest = next(iter(tier))
             value = tier.pop(oldest)
             if t + 1 >= len(self.tiers):
                 continue  # beyond the coarsest tier: drop
             parent = self.tiers[t + 1]
             pidx = oldest // 2
-            if self.kind == COUNTER:
-                parent[pidx] = parent.get(pidx, 0.0) + value
+            prior = parent.get(pidx)
+            if prior is None:
+                self._add_bucket(t + 1, pidx, 0.0 + value
+                                 if self.kind == COUNTER else value)
+            elif self.kind == COUNTER:
+                parent[pidx] = prior + value
             elif self.kind == GAUGE:
                 # evicting in ascending order, the later child wins
                 parent[pidx] = value
             else:
-                prior = parent.get(pidx)
-                if prior is None:
-                    parent[pidx] = value
-                else:
-                    prior.merge(value)
-            if len(parent) > self.max_buckets:
-                self._evict(t + 1)
+                prior.merge(value)
 
     # -- querying ----------------------------------------------------
 
@@ -301,14 +320,19 @@ class TimeSeries:
 
         This is the SLO engine's window rule: with observations recorded
         at bucket-aligned times, "bucket start > cutoff" is exactly
-        "observation time > cutoff" (see repro.health.slo).
+        "observation time > cutoff" (see repro.health.slo).  Each tier is
+        walked newest-first and left at the first bucket at or before the
+        cutoff, so a tick costs the window's buckets, not the retention's.
+        Buckets add newest-first: exact for integer-valued counters (the
+        SLO series), within float rounding otherwise.
         """
         total = 0.0
         for t, tier in enumerate(self.tiers):
             w = self.width * (1 << t)
-            for index, value in tier.items():
-                if index * w > cutoff:
-                    total += value
+            for index in reversed(tier):
+                if index * w <= cutoff:
+                    break
+                total += tier[index]
         return total
 
     def merged_histogram(self, start: float, end: float) -> LogHistogram:
@@ -324,7 +348,7 @@ class TimeSeries:
             if not tier:
                 continue
             w = self.width * (1 << t)
-            index = max(tier)
+            index = next(reversed(tier))
             t0 = index * w
             if best is None or t0 > best[0]:
                 best = (t0, tier[index])
@@ -348,17 +372,19 @@ class TimeSeries:
             if t >= len(self.tiers):
                 self.tiers.append({})
             mine = self.tiers[t]
+            added = False
             for index, value in tier.items():
                 prior = mine.get(index)
-                if self.kind == HISTOGRAM:
-                    if prior is None:
-                        mine[index] = value.copy()
-                    else:
-                        prior.merge(value)
-                elif prior is None:
-                    mine[index] = value
+                if prior is None:
+                    mine[index] = (value.copy() if self.kind == HISTOGRAM
+                                   else value)
+                    added = True
+                elif self.kind == HISTOGRAM:
+                    prior.merge(value)
                 else:
                     mine[index] = prior + value
+            if added:
+                _sort_tier(mine)
         return self
 
     def to_dict(self) -> Dict[str, Any]:
@@ -385,6 +411,7 @@ class TimeSeries:
                                 for k, v in tier.items()}
             else:
                 out.tiers[t] = {int(k): v for k, v in tier.items()}
+            _sort_tier(out.tiers[t])
         return out
 
 
@@ -431,8 +458,14 @@ class TimeSeriesRegistry:
 
     # -- recording ---------------------------------------------------
 
-    def inc(self, name: str, n: float = 1.0) -> None:
-        self._get(name, COUNTER).inc(self._clock(), n)
+    def inc(self, name: str, n: float = 1.0, *,
+            at: Optional[float] = None) -> None:
+        """Add ``n`` to counter ``name`` at sim time ``at`` (default: now).
+
+        An explicit ``at`` lets a writer that tallies locally flush its
+        tally into the bucket the tallied events fell in.
+        """
+        self._get(name, COUNTER).inc(self._clock() if at is None else at, n)
 
     def set_gauge(self, name: str, value: float) -> None:
         self._get(name, GAUGE).set(self._clock(), value)

@@ -139,3 +139,51 @@ def test_federation_metrics_staleness_is_bounded():
     assert stats.count == 5000
     assert len(metrics._staleness["app-1"]) <= 1024
     assert metrics.staleness_stats("other").count == 0
+
+
+def _p99_sample_fn(metrics):
+    """The ``deliver_command_p99`` sample function ``default_slos``
+    registers for a server whose pipeline metrics are ``metrics``."""
+    from types import SimpleNamespace
+
+    from repro.health.monitor import default_slos
+
+    registered = {}
+
+    class Engine:
+        def add(self, spec, sample_fn):
+            registered[spec.name] = sample_fn
+
+    default_slos(SimpleNamespace(pipeline_metrics=metrics), Engine())
+    return registered["deliver_command_p99"]
+
+
+@given(st.lists(st.floats(min_value=0.0, max_value=1e3, allow_nan=False),
+                min_size=0, max_size=200),
+       st.integers(min_value=1, max_value=64))
+@settings(max_examples=100, deadline=None)
+def test_p99_shortcut_is_bit_identical_to_stats(values, capacity):
+    """The SLO's one-percentile read equals the full summary's p99
+    bit-for-bit, including sample sets larger than the reservoir."""
+    res = Reservoir(capacity=capacity)
+    for v in values:
+        res.add(v)
+    assert res.percentile(99) == res.stats().p99
+    metrics = PipelineMetrics()
+    metrics._latencies["http"] = res
+    assert metrics.latency_p99("http") == metrics.latency_stats("http").p99
+    assert _p99_sample_fn(metrics)() == (res.stats().p99 or None)
+
+
+def test_p99_shortcut_edge_cases():
+    single = Reservoir()
+    single.add(0.25)
+    assert single.percentile(99) == single.stats().p99 == 0.25
+    assert Reservoir().percentile(99) == Reservoir().stats().p99 == 0.0
+    metrics = PipelineMetrics()
+    sample = _p99_sample_fn(metrics)
+    assert sample() is None  # no http plane yet
+    metrics._latencies["http"] = Reservoir()
+    assert sample() is None  # an empty reservoir still reads None
+    metrics.observe("http", latency=0.75)
+    assert sample() == 0.75

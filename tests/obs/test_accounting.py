@@ -159,6 +159,22 @@ class TestLedgerAttribution:
         assert len(ledger._bindings) == 10
         assert 24 in ledger._bindings and 0 not in ledger._bindings
 
+    def test_scope_exit_before_request_close_leaks_no_key(self):
+        """A request opened inside a ``scoped()`` block and closed after
+        the block exits unwinds both keys, so later scopeless charges
+        fall back instead of landing on the stale scope."""
+        ledger = make_ledger()
+        ctx = RequestContext(PLANE_HTTP, principal="bob", operation="poll")
+        with ledger.scoped("poller", plane="federation",
+                           operation="poll_round"):
+            ledger.open_request(ctx)
+        ledger.close_request(ctx)
+        assert ledger._active == {}
+        ledger.charge("spans", 1, plane="obs", operation="span")
+        assert ledger.entries[("-", "-", "obs", "span")].spans == 1
+        assert ("poller", "-", "federation", "poll_round") \
+            not in ledger.entries
+
     def test_timeseries_records_cost_by_plane(self):
         ledger = make_ledger()
         with ledger.scoped("s1", plane="orb", operation="lookup"):
@@ -252,6 +268,77 @@ class TestPartitionInvariants:
             for dim, val in vec.items():
                 summed[dim] += val
         assert summed == merged.total.as_dict()
+
+    def test_total_is_sum_of_entries_after_charges_and_merge(self):
+        shards = [make_ledger() for _ in range(3)]
+        for i, who in enumerate(("a", "b", "a", "c", "d", "b")):
+            ledger = shards[i % 3]
+            with ledger.scoped(who, plane=("orb", "http")[i % 2],
+                               operation="op"):
+                ledger.charge("cpu_us", 10 * i + 1)
+                ledger.charge("wan_bytes", 7)
+            ledger.charge("spans", 1)
+        for ledger in shards + [RequestCostLedger.merged(shards)]:
+            summed = {dim: 0 for dim in ALL_DIMENSIONS}
+            for vec in ledger.entries.values():
+                for dim, val in vec.as_dict().items():
+                    summed[dim] += val
+            assert ledger.total.as_dict() == summed
+        assert RequestCostLedger.merged(shards).total.cpu_us == sum(
+            10 * i + 1 for i in range(6))
+
+    @given(st.lists(
+        st.tuples(st.floats(min_value=0.0, max_value=0.6),
+                  st.sampled_from(["a", "b", "c"]),
+                  st.sampled_from(["orb", "http", "channel"]),
+                  st.sampled_from(ALL_DIMENSIONS),
+                  st.integers(min_value=1, max_value=10**6),
+                  st.booleans()),
+        min_size=1, max_size=150))
+    @settings(max_examples=50, deadline=None)
+    def test_cost_series_match_per_charge_tally(self, steps):
+        """Per-bucket ``cost.<dim>.<plane>`` values equal a brute-force
+        per-charge tally, across bucket rolls and mid-bucket reads."""
+        clock = {"now": 0.0}
+        ledger = RequestCostLedger(clock=lambda: clock["now"],
+                                   scope=lambda: "proc",
+                                   events_fn=lambda: 0,
+                                   wall_clock=lambda: 0, bucket_width=0.25)
+        expected = {}
+        for gap, who, plane, dim, n, read in steps:
+            clock["now"] += gap
+            with ledger.scoped(who, plane=plane, operation="op"):
+                ledger.charge(dim, n)
+            name = f"cost.{dim}.{plane}"
+            bucket = int(clock["now"] // 0.25) * 0.25
+            cell = expected.setdefault(name, {})
+            cell[bucket] = cell.get(bucket, 0) + n
+            if read:  # a read mid-bucket flushes the pending tally
+                assert ledger.timeseries.query(name, "sum") \
+                    == sum(cell.values())
+        ts = ledger.timeseries
+        assert ts.names() == sorted(expected)
+        for name, by_bucket in expected.items():
+            got = {p["t"]: p["value"] for p in ts.query(name, "points")}
+            assert got == by_bucket
+
+    def test_cost_series_span_bucket_rolls(self):
+        clock = {"now": 0.0}
+        ledger = RequestCostLedger(clock=lambda: clock["now"],
+                                   scope=lambda: "proc",
+                                   events_fn=lambda: 0,
+                                   wall_clock=lambda: 0, bucket_width=0.25)
+        for now in (0.0, 0.1, 0.3, 0.6, 0.65, 0.9, 1.2):
+            clock["now"] = now
+            ledger.charge("wal_appends", 2, plane="storage",
+                          operation="append")
+            if now == 0.6:
+                assert ledger.timeseries.query(
+                    "cost.wal_appends.storage", "sum") == 8
+        points = ledger.timeseries.query("cost.wal_appends.storage",
+                                         "points")
+        assert [(p["t"], p["value"]) for p in points] == [
+            (0.0, 4.0), (0.25, 2.0), (0.5, 4.0), (0.75, 2.0), (1.0, 2.0)]
 
     def test_accounting_is_zero_event(self):
         """Ledger bookkeeping schedules nothing and dispatches nothing."""

@@ -255,6 +255,64 @@ class TestRegistryQueries:
         assert reg.window_sum("c", 0.25) == 2.0  # bucket at 0.25 excluded
         assert reg.window_sum("c", 0.0) == 3.0
 
+    @staticmethod
+    def brute_window_sum(series, cutoff):
+        """Every retained bucket visited: the reference for the
+        early-exit walk."""
+        return sum(value for t0, _w, value
+                   in series.buckets_between(-math.inf, math.inf)
+                   if t0 > cutoff)
+
+    @given(st.lists(st.tuples(st.floats(min_value=0.0, max_value=60.0),
+                              st.integers(min_value=1, max_value=1000)),
+                    min_size=1, max_size=200),
+           st.lists(st.floats(min_value=-1.0, max_value=61.0),
+                    min_size=1, max_size=8),
+           st.integers(min_value=1, max_value=6),
+           st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_window_sum_early_exit_matches_brute_force(
+            self, incs, cutoffs, max_buckets, in_order):
+        """Random inc streams (in time order or not) through a ring small
+        enough to evict into tier 1 and above, and off the coarsest."""
+        if in_order:
+            incs = sorted(incs)
+        series = TimeSeries("c", "counter", width=0.5,
+                            max_buckets=max_buckets, n_tiers=3)
+        for now, n in incs:
+            series.inc(now, n)
+        assert all(list(tier) == sorted(tier) for tier in series.tiers)
+        for cutoff in cutoffs + [-math.inf, 0.0, 1.5, 7.0]:
+            assert (series.window_sum(cutoff)
+                    == self.brute_window_sum(series, cutoff))
+
+    @given(st.lists(st.tuples(st.integers(min_value=0, max_value=80),
+                              st.booleans(),
+                              st.integers(min_value=1, max_value=50)),
+                    min_size=1, max_size=150),
+           st.lists(st.floats(min_value=-1.0, max_value=21.0),
+                    min_size=1, max_size=8))
+    @settings(max_examples=100, deadline=None)
+    def test_window_sum_after_merge_of_interleaved_buckets(self, incs,
+                                                           cutoffs):
+        """Two recorders whose buckets interleave, one of them evicting
+        into tier 1: the merged tiers come back in ascending order and
+        the early exit still sees every bucket after the cutoff."""
+        a = TimeSeries("c", "counter", width=0.25, max_buckets=4,
+                       n_tiers=3)
+        b = TimeSeries("c", "counter", width=0.25, max_buckets=64,
+                       n_tiers=3)
+        for bucket, to_a, n in sorted(incs):
+            (a if to_a else b).inc(bucket * 0.25, n)
+        merged = TimeSeries("c", "counter", width=0.25, max_buckets=64,
+                            n_tiers=3)
+        merged.merge_from(b).merge_from(a)
+        assert all(list(tier) == sorted(tier) for tier in merged.tiers)
+        for cutoff in cutoffs:
+            expected = self.brute_window_sum(merged, cutoff)
+            assert merged.window_sum(cutoff) == expected
+            assert expected == a.window_sum(cutoff) + b.window_sum(cutoff)
+
     def test_exemplars_surface_through_registry(self):
         reg, clock = self.make()
         reg.observe("lat", 0.05, exemplar="span-1")
