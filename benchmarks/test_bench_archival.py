@@ -1,4 +1,4 @@
-"""E12 — §5.2.5: the interaction log "enables clients to replay their
+"""E16 — §5.2.5: the interaction log "enables clients to replay their
 interactions with the applications.  It also enables latecomers to a
 collaboration group to get up to speed."
 
@@ -65,7 +65,7 @@ def _archival_run(k: int) -> dict:
 def test_bench_e12_archival_replay(benchmark):
     rows = run_once(benchmark, lambda: [_archival_run(k) for k in HISTORY])
     print_experiment(
-        "E12: latecomer catch-up and replay cost vs history length",
+        "E16: latecomer catch-up and replay cost vs history length",
         "enables clients to replay their interactions ... enables "
         "latecomers to a collaboration group to get up to speed",
         rows,

@@ -1,4 +1,4 @@
-"""E11 — §6.2: "CORBA, however, causes the middleware to give up control
+"""E15 — §6.2: "CORBA, however, causes the middleware to give up control
 over its transport and communication policies and reduces performance when
 compared to a lower level socket based system."
 
@@ -101,7 +101,7 @@ def test_bench_e11_corba_overhead(benchmark):
 
     rows = run_once(benchmark, scenario)
     print_experiment(
-        "E11: ORB invocation vs lower-level socket protocol",
+        "E15: ORB invocation vs lower-level socket protocol",
         "CORBA ... reduces performance when compared to a lower level "
         "socket based system",
         rows,

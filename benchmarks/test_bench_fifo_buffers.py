@@ -12,6 +12,7 @@ from benchmarks.conftest import run_once
 from repro.bench import print_experiment
 from repro.bench.workload import make_app_farm, polling_client
 from repro.core.deployment import build_single_server
+from repro.core.server import ServerConfig
 from repro.metrics import LatencyRecorder
 
 CAPACITIES = (float("inf"), 64, 16, 4)
@@ -21,7 +22,8 @@ UPDATE_PERIOD = 0.1
 
 
 def _buffer_run(capacity: float) -> dict:
-    collab = build_single_server(client_buffer_capacity=capacity)
+    collab = build_single_server(
+        server=ServerConfig(client_buffer_capacity=capacity))
     collab.run_bootstrap()
     apps = make_app_farm(collab, 1, user="bench",
                          update_period=UPDATE_PERIOD)

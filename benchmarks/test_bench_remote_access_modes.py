@@ -18,6 +18,7 @@ from benchmarks.conftest import run_once
 from repro.bench import print_experiment
 from repro.bench.workload import steering_client, update_watching_client
 from repro.core.deployment import build_collaboratory
+from repro.core.server import ServerConfig
 from repro.metrics import LatencyRecorder
 from repro.net.costs import LinkSpec
 
@@ -30,7 +31,8 @@ def _build(remote_access: str, client_hosts: int = 1):
     collab = build_collaboratory(2, apps_hosts_per_domain=1,
                                  client_hosts_per_domain=client_hosts,
                                  spec=LinkSpec(wan_latency=WAN),
-                                 remote_access=remote_access)
+                                 server=ServerConfig(
+                                     remote_access=remote_access))
     collab.run_bootstrap()
     from repro.apps import SyntheticApp
     from repro.steering import AppConfig

@@ -12,6 +12,7 @@ from benchmarks.conftest import run_once
 from repro.bench import print_experiment
 from repro.bench.workload import make_app_farm, update_watching_client
 from repro.core.deployment import build_collaboratory
+from repro.core.server import ServerConfig
 from repro.metrics import LatencyRecorder
 from repro.net.costs import LinkSpec
 
@@ -22,8 +23,9 @@ UPDATE_PERIOD = 0.5
 def _mode_run(update_mode: str, poll_interval: float = 0.25) -> dict:
     collab = build_collaboratory(
         2, apps_hosts_per_domain=1, client_hosts_per_domain=2,
-        spec=LinkSpec(wan_latency=0.060), update_mode=update_mode,
-        update_poll_interval=poll_interval)
+        spec=LinkSpec(wan_latency=0.060),
+        server=ServerConfig(update_mode=update_mode,
+                            update_poll_interval=poll_interval))
     collab.run_bootstrap()
     apps = make_app_farm(collab, 1, domain_index=0, user="bench",
                          update_period=UPDATE_PERIOD)

@@ -13,7 +13,7 @@ sketches, all implemented in this reproduction:
 Run:  python examples/grid_operations.py
 """
 
-from repro import AppConfig, build_collaboratory
+from repro import AppConfig, ServerConfig, build_collaboratory
 from repro.apps import SyntheticApp
 from repro.core.policies import ResourcePolicy
 from repro.orb import RemoteException
@@ -92,7 +92,7 @@ def main() -> None:
     # --- 3. poll-mode updates --------------------------------------------
     poll_collab = build_collaboratory(
         2, apps_hosts_per_domain=1, client_hosts_per_domain=1,
-        update_mode="poll", update_poll_interval=0.4)
+        server=ServerConfig(update_mode="poll", update_poll_interval=0.4))
     poll_collab.run_bootstrap()
     app = poll_collab.add_app(1, SyntheticApp, "polled-app",
                               acl={"operator": "write"}, config=cfg())

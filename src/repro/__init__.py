@@ -36,7 +36,12 @@ Quick start::
 """
 
 from repro.client import AppSession, DiscoverPortal, PortalError
-from repro.core import DiscoverServer, LockError, SecurityError
+from repro.core import (
+    DiscoverServer,
+    LockError,
+    SecurityError,
+    ServerConfig,
+)
 from repro.core.deployment import (
     Collaboratory,
     build_collaboratory,
@@ -64,6 +69,7 @@ __all__ = [
     "Orb",
     "PortalError",
     "SecurityError",
+    "ServerConfig",
     "Simulator",
     "SteerableApplication",
     "TraderService",

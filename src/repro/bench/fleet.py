@@ -32,12 +32,12 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.bench.traffic import TrafficSpec, constant, exponential, session_plans
-from repro.core.server import DiscoverServer
+from repro.core.server import DiscoverServer, ServerConfig
 from repro.directory import DirectoryPlane, make_app_id
 from repro.metrics.stats import Reservoir
 from repro.net import Network
 from repro.net.costs import CostModel, LinkSpec
-from repro.obs import RequestCostLedger
+from repro.obs import DEFAULT_BUCKET_WIDTH, RequestCostLedger
 from repro.orb import Orb, OrbError
 from repro.pipeline.core import PLANE_ORB
 from repro.pipeline.interceptors import default_pipeline
@@ -65,21 +65,21 @@ class Fleet:
             server.stop()
 
 
+#: every fleet server's settings: health ticks are slow (and the servers
+#: get no tracer, so tracing is off), because at 10⁵ sessions the
+#: observability machinery would otherwise dominate the wall clock
+FLEET_SERVER = ServerConfig(peer_call_timeout=3.0, health_period=5.0)
+
+
 def build_fleet(n_servers: int, *, directory_shards: int = 4,
                 directory_replicas: int = 2,
-                spec: Optional[LinkSpec] = None,
-                cost_model: Optional[CostModel] = None,
-                peer_call_timeout: float = 3.0,
-                health_period: float = 5.0,
-                bucket_width: float = 0.25,
-                sim: Optional[Simulator] = None) -> Fleet:
+                bucket_width: float = DEFAULT_BUCKET_WIDTH) -> Fleet:
     """N servers + M shard hosts in a star through a ``core`` backbone.
 
     Each edge link carries half the WAN latency, so any server-to-shard
     path costs one WAN RTT — uniform by construction, which keeps the
     fleet-size comparison about the *directory plane*, not topology
-    luck.  Tracing is off and health ticks are slow: at 10⁵ sessions the
-    observability machinery would otherwise dominate the wall clock.
+    luck.  Every server is built from :data:`FLEET_SERVER`.
 
     One shared :class:`~repro.obs.RequestCostLedger` spans the fleet:
     every server, every shard ORB pipeline, and the network's per-hop
@@ -92,9 +92,9 @@ def build_fleet(n_servers: int, *, directory_shards: int = 4,
         raise ValueError("a fleet needs at least 2 servers")
     from repro.core.deployment import reset_runtime_ids
     reset_runtime_ids()
-    sim = sim or Simulator()
-    spec = spec or LinkSpec()
-    costs = cost_model or CostModel()
+    sim = Simulator()
+    spec = LinkSpec()
+    costs = CostModel()
     net = Network(sim)
     ledger = RequestCostLedger(sim, bucket_width=bucket_width)
     net.cost_ledger = ledger
@@ -118,13 +118,8 @@ def build_fleet(n_servers: int, *, directory_shards: int = 4,
         host = net.add_host(f"s{i}")
         net.add_link("core", host.name, half_wan, spec.wan_bandwidth,
                      kind="wan")
-        # tracer defaults to SAMPLE_OFF for standalone servers — exactly
-        # what a 10⁵-session run wants
-        server = DiscoverServer(
-            host, cost_model=costs,
-            peer_call_timeout=peer_call_timeout,
-            health_period=health_period,
-            ledger=ledger)
+        server = DiscoverServer(host, config=FLEET_SERVER, cost_model=costs,
+                                ledger=ledger)
         server.attach_directory(plane.client_for(server))
         servers.append(server)
     return Fleet(sim=sim, net=net, servers=servers, plane=plane,

@@ -18,6 +18,7 @@ from repro.bench.workload import (
     update_watching_client,
 )
 from repro.core.deployment import build_collaboratory, build_single_server
+from repro.core.server import ServerConfig
 from repro.metrics import LatencyRecorder
 from repro.net.costs import CostModel, LinkSpec
 from repro.pipeline.core import PLANE_CHANNEL, PLANE_HTTP, PLANE_ORB
@@ -192,8 +193,9 @@ def run_app_scalability(n_apps: int, *, duration: float = 30.0,
     collab = build_collaboratory(1,
                                  apps_hosts_per_domain=max(4, n_apps // 4),
                                  cost_model=cost_model,
-                                 health_enabled=health_enabled,
-                                 accounting_enabled=accounting_enabled)
+                                 server=ServerConfig(
+                                     health_enabled=health_enabled,
+                                     accounting_enabled=accounting_enabled))
     collab.run_bootstrap()
     server = collab.server_of(0)
     recorder = LatencyRecorder(collab.sim)
@@ -443,11 +445,11 @@ def run_fault_injection(*, duration: float = 30.0, kill_at: float = 10.0,
     spec = LinkSpec(wan_latency=wan_latency)
     collab = build_collaboratory(3, apps_hosts_per_domain=1,
                                  client_hosts_per_domain=1, spec=spec,
-                                 health_period=heartbeat_period,
-                                 health_gossip_period=gossip_period,
-                                 log_sink=log_sink)
-    for server in collab.servers.values():
-        server.peer_call_timeout = peer_call_timeout
+                                 log_sink=log_sink,
+                                 server=ServerConfig(
+                                     peer_call_timeout=peer_call_timeout,
+                                     health_period=heartbeat_period,
+                                     health_gossip_period=gossip_period))
     collab.run_bootstrap()
     interactive = AppConfig(steps_per_phase=1, step_time=0.005,
                             interaction_window=0.25,
@@ -529,7 +531,8 @@ def run_recovery_drill(*, n_commands: int = 10,
     collab = build_collaboratory(2, apps_hosts_per_domain=1,
                                  client_hosts_per_domain=1, spec=spec,
                                  storage_backend_factory=storage_backend_factory,
-                                 storage_snapshot_every=snapshot_every)
+                                 server=ServerConfig(
+                                     storage_snapshot_every=snapshot_every))
     collab.run_bootstrap()
     interactive = AppConfig(steps_per_phase=1, step_time=0.005,
                             interaction_window=0.25,
@@ -686,11 +689,11 @@ def run_telemetry_drill(*, duration: float = 30.0, kill_at: float = 10.0,
     spec = LinkSpec(wan_latency=wan_latency)
     collab = build_collaboratory(3, apps_hosts_per_domain=1,
                                  client_hosts_per_domain=1, spec=spec,
-                                 health_period=heartbeat_period,
-                                 health_gossip_period=gossip_period,
-                                 timeseries_bucket_width=bucket_width)
-    for server in collab.servers.values():
-        server.peer_call_timeout = peer_call_timeout
+                                 server=ServerConfig(
+                                     peer_call_timeout=peer_call_timeout,
+                                     health_period=heartbeat_period,
+                                     health_gossip_period=gossip_period,
+                                     timeseries_bucket_width=bucket_width))
     collab.run_bootstrap()
     interactive = AppConfig(steps_per_phase=1, step_time=0.005,
                             interaction_window=0.25,

@@ -28,7 +28,7 @@ from repro.core.security import (
     SecurityManager,
     required_privilege,
 )
-from repro.core.server import SERVICE_ID, DiscoverServer
+from repro.core.server import SERVICE_ID, DiscoverServer, ServerConfig
 
 __all__ = [
     "AccessControlList",
@@ -51,6 +51,7 @@ __all__ = [
     "SERVICE_ID",
     "SecurityError",
     "SecurityManager",
+    "ServerConfig",
     "SessionArchive",
     "SteeringLock",
     "Table",

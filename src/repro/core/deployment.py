@@ -13,7 +13,7 @@ import itertools
 from typing import Callable, Dict, List, Optional
 
 from repro.client import DiscoverPortal
-from repro.core.server import DiscoverServer
+from repro.core.server import DiscoverServer, ServerConfig
 from repro.net import Network, build_multi_domain
 from repro.net.costs import CostModel, LinkSpec
 from repro.net.topology import Domain
@@ -68,47 +68,59 @@ class Collaboratory:
     """A fully wired multi-domain DISCOVER deployment."""
 
     def __init__(self, sim: Simulator, net: Network, domains: List[Domain],
-                 servers: Dict[str, DiscoverServer], registry_orb: Orb,
-                 naming: NamingService, trader: TraderService,
-                 tracer: Optional[Tracer] = None) -> None:
+                 registry_orb: Orb, naming: NamingService,
+                 trader: TraderService, *, costs: CostModel, tracer: Tracer,
+                 naming_ref, trader_ref, ledger=None, directory=None,
+                 log_sink=None) -> None:
         self.sim = sim
         self.net = net
         self.domains = domains
-        self.servers = servers
         self.registry_orb = registry_orb
         self.naming = naming
         self.trader = trader
+        self.costs = costs
         #: the deployment-wide tracer shared by every server, portal, and
         #: the network — one trace id space, so cross-server trees join up
-        self.tracer = tracer if tracer is not None else Tracer(sim)
+        self.tracer = tracer
+        #: registry references every server bootstraps through
+        self.naming_ref = naming_ref
+        self.trader_ref = trader_ref
+        #: the deployment-wide RequestCostLedger shared by every server
+        #: and the network (None when accounting is off)
+        self.ledger = ledger
+        #: the optional §6.3 directory, deployed as a sharded
+        #: :class:`repro.directory.DirectoryPlane`
+        self.directory = directory
+        self.log_sink = log_sink
+        self.servers: Dict[str, DiscoverServer] = {}
+        #: server name → its durable storage backend — the medium a crash
+        #: does not erase, handed back to the replacement server in
+        #: :meth:`restart_server`
+        self.storage: Dict[str, object] = {}
         self.apps: List[SteerableApplication] = []
         self.portals: List[DiscoverPortal] = []
-        #: the optional §6.3 directory, deployed as a sharded
-        #: :class:`repro.directory.DirectoryPlane` (set by
-        #: build_collaboratory when ``use_directory=True``)
-        self.directory = None
-        #: registry references (set by build_collaboratory)
-        self.naming_ref = None
-        self.trader_ref = None
-        #: the deployment-wide RequestCostLedger shared by every server
-        #: and the network (set by build_collaboratory; falls back to the
-        #: first server's own ledger otherwise)
-        self.ledger = (next(iter(servers.values())).ledger
-                       if servers else None)
-        #: server name → its durable storage backend (set by
-        #: build_collaboratory) — the medium a crash does not erase,
-        #: handed back to the replacement server in :meth:`restart_server`
-        self.storage: Dict[str, object] = {}
-        #: server name → the DiscoverServer kwargs it was built with
-        #: (minus the backend), so a restart reconstructs an identical
-        #: server on the same host
-        self._server_kwargs: Dict[str, dict] = {}
         self._app_host_rr = {d.name: itertools.cycle(d.app_hosts or
                                                      [d.server])
                              for d in domains}
         self._client_host_rr = {d.name: itertools.cycle(d.client_hosts or
                                                         [d.server])
                                 for d in domains}
+
+    def _start_server(self, host, config: ServerConfig,
+                      storage) -> DiscoverServer:
+        """Build the server on ``host`` from ``config`` plus this
+        deployment's wiring (the one construction path for build and
+        restart alike)."""
+        server = DiscoverServer(
+            host, config=config, cost_model=self.costs,
+            naming_ref=self.naming_ref, trader_ref=self.trader_ref,
+            tracer=self.tracer, log_sink=self.log_sink, storage=storage,
+            ledger=self.ledger)
+        if self.directory is not None:
+            server.attach_directory(self.directory.client_for(server))
+        self.servers[server.name] = server
+        self.storage[server.name] = storage
+        return server
 
     # -- population ----------------------------------------------------------
     def server_of(self, domain_index: int) -> DiscoverServer:
@@ -204,18 +216,14 @@ class Collaboratory:
         """Replace a stopped server with a fresh one on the same host and
         recover its planes from the surviving storage backend.
 
+        The replacement is built from the config the old server held.
         Returns ``(server, report)`` — the replacement and its
         :class:`~repro.storage.RecoveryReport`.  The caller re-runs
         :meth:`run_bootstrap` (or drives :meth:`bootstrap`) afterwards so
         the replacement rejoins the peer mesh.
         """
         old = self.servers[name]
-        kwargs = self._server_kwargs.get(name, {})
-        server = DiscoverServer(old.host, storage=self.storage.get(name),
-                                **kwargs)
-        if self.directory is not None:
-            server.attach_directory(self.directory.client_for(server))
-        self.servers[name] = server
+        server = self._start_server(old.host, old.config, self.storage[name])
         report = server.recover()
         return server, report
 
@@ -226,56 +234,45 @@ def build_collaboratory(n_domains: int, *, apps_hosts_per_domain: int = 4,
                         spec: Optional[LinkSpec] = None,
                         cost_model: Optional[CostModel] = None,
                         server_cpus: int = 1,
-                        client_buffer_capacity: float = float("inf"),
-                        trader_match_cost: float = 0.0008,
                         use_directory: bool = False,
                         directory_shards: int = 1,
                         directory_replicas: int = 1,
-                        update_mode: str = "push",
-                        update_poll_interval: float = 0.5,
-                        remote_access: str = "relay",
                         trace_sampling="always",
-                        trace_max_spans: int = 50_000,
-                        health_period: float = 0.5,
-                        health_gossip_period: Optional[float] = None,
-                        health_enabled: bool = True,
-                        accounting_enabled: bool = True,
                         log_sink=None,
                         storage_backend_factory=None,
-                        storage_snapshot_every: Optional[int] = None,
-                        timeseries_bucket_width: float = 0.25,
-                        sim: Optional[Simulator] = None) -> Collaboratory:
+                        server: ServerConfig = ServerConfig()
+                        ) -> Collaboratory:
     """Build a ready-to-bootstrap multi-domain collaboratory.
 
-    ``trace_sampling`` / ``trace_max_spans`` configure the shared
-    :class:`~repro.obs.Tracer` (``"always"``, ``"off"``, or int N for
-    1-in-N root sampling).  Tracing is zero-event bookkeeping — it never
-    changes virtual time or wire sizes, whatever the knob says.
+    Every server is built from ``server``, the per-server settings.
+    ``trace_sampling`` configures the shared :class:`~repro.obs.Tracer`
+    (``"always"``, ``"off"``, or int N for 1-in-N root sampling).
+    Tracing is zero-event bookkeeping — it never changes virtual time or
+    wire sizes, whatever the knob says.
 
     ``storage_backend_factory`` maps a server name to its durable
     :class:`~repro.storage.StorageBackend` (default: a fresh
     :class:`~repro.storage.MemoryBackend` per server, so every deployment
     is restartable via :meth:`Collaboratory.restart_server`).
-    ``storage_snapshot_every`` overrides the journal's snapshot cadence.
     """
-    sim = sim or Simulator()
+    sim = Simulator()
     spec = spec or LinkSpec()
     costs = cost_model or CostModel()
     net, domains = build_multi_domain(
         sim, n_domains, apps_hosts_per_domain, client_hosts_per_domain,
         spec=spec, server_cpus=server_cpus, names=names)
-    tracer = Tracer(sim, sampling=trace_sampling, max_spans=trace_max_spans)
+    tracer = Tracer(sim, sampling=trace_sampling)
     net.tracer = tracer
     # One cost ledger for the whole deployment: the rollup key carries no
     # server dimension, so every server's interceptor and the shared
     # network attribute into the same instance (zero-event bookkeeping).
-    # ``accounting_enabled=False`` removes it entirely — the overhead
-    # bench's control arm.
+    # ``ServerConfig(accounting_enabled=False)`` removes it entirely —
+    # the overhead bench's control arm.
     ledger = None
-    if accounting_enabled:
+    if server.accounting_enabled:
         from repro.obs import RequestCostLedger
-        ledger = RequestCostLedger(sim,
-                                   bucket_width=timeseries_bucket_width)
+        ledger = RequestCostLedger(
+            sim, bucket_width=server.timeseries_bucket_width)
         net.cost_ledger = ledger
 
     # Registry host (naming + trader) on the first domain's LAN — the
@@ -285,7 +282,8 @@ def build_collaboratory(n_domains: int, *, apps_hosts_per_domain: int = 4,
                  spec.lan_latency, spec.lan_bandwidth, kind="lan")
     registry_orb = Orb(registry_host, cost_model=costs, tracer=tracer)
     naming = NamingService()
-    trader = TraderService(naming, sim=sim, match_cost=trader_match_cost)
+    trader = TraderService(naming, sim=sim,
+                           match_cost=costs.trader_match_cost)
     naming_ref = registry_orb.activate(naming, key=NamingService.OBJECT_KEY)
     trader_ref = registry_orb.activate(trader, key=TraderService.OBJECT_KEY)
     directory = None
@@ -309,48 +307,16 @@ def build_collaboratory(n_domains: int, *, apps_hosts_per_domain: int = 4,
                 shard_orb = Orb(shard_host, cost_model=costs, tracer=tracer)
                 directory.add_shard(shard_host.name, shard_orb)
 
-    from repro.storage import DEFAULT_SNAPSHOT_EVERY, MemoryBackend
-    snapshot_every = (DEFAULT_SNAPSHOT_EVERY if storage_snapshot_every is None
-                      else storage_snapshot_every)
-    servers: Dict[str, DiscoverServer] = {}
-    backends: Dict[str, object] = {}
-    server_kwargs: Dict[str, dict] = {}
+    collab = Collaboratory(sim, net, domains, registry_orb, naming, trader,
+                           costs=costs, tracer=tracer, naming_ref=naming_ref,
+                           trader_ref=trader_ref, ledger=ledger,
+                           directory=directory, log_sink=log_sink)
+    from repro.storage import MemoryBackend
     for domain in domains:
-        name = domain.server.name
-        backend = (storage_backend_factory(name)
+        backend = (storage_backend_factory(domain.server.name)
                    if storage_backend_factory is not None
                    else MemoryBackend())
-        kwargs = dict(
-            domain=domain.name, cost_model=costs,
-            naming_ref=naming_ref, trader_ref=trader_ref,
-            client_buffer_capacity=client_buffer_capacity,
-            update_mode=update_mode,
-            update_poll_interval=update_poll_interval,
-            remote_access=remote_access,
-            tracer=tracer,
-            health_period=health_period,
-            health_gossip_period=health_gossip_period,
-            health_enabled=health_enabled,
-            log_sink=log_sink,
-            storage_snapshot_every=snapshot_every,
-            timeseries_bucket_width=timeseries_bucket_width,
-            ledger=ledger,
-            accounting_enabled=accounting_enabled)
-        server = DiscoverServer(domain.server, storage=backend, **kwargs)
-        if directory is not None:
-            server.attach_directory(directory.client_for(server))
-        servers[server.name] = server
-        backends[server.name] = backend
-        server_kwargs[server.name] = kwargs
-
-    collab = Collaboratory(sim, net, domains, servers, registry_orb, naming,
-                           trader, tracer=tracer)
-    collab.ledger = ledger
-    collab.directory = directory
-    collab.naming_ref = naming_ref
-    collab.trader_ref = trader_ref
-    collab.storage = backends
-    collab._server_kwargs = server_kwargs
+        collab._start_server(domain.server, server, backend)
     return collab
 
 
@@ -358,11 +324,10 @@ def build_single_server(*, app_hosts: int = 4, client_hosts: int = 4,
                         cost_model: Optional[CostModel] = None,
                         server_cpus: int = 1,
                         spec: Optional[LinkSpec] = None,
-                        client_buffer_capacity: float = float("inf"),
-                        sim: Optional[Simulator] = None) -> Collaboratory:
+                        server: ServerConfig = ServerConfig()
+                        ) -> Collaboratory:
     """The single-domain configuration used by experiments E1–E3."""
     return build_collaboratory(
         1, apps_hosts_per_domain=app_hosts,
         client_hosts_per_domain=client_hosts, cost_model=cost_model,
-        server_cpus=server_cpus, spec=spec,
-        client_buffer_capacity=client_buffer_capacity, sim=sim)
+        server_cpus=server_cpus, spec=spec, server=server)

@@ -14,6 +14,7 @@ by all the servers".
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from repro.core import handlers
@@ -43,6 +44,7 @@ from repro.metrics import (
     StorageMetrics,
 )
 from repro.net.costs import CostModel
+from repro.obs import DEFAULT_BUCKET_WIDTH
 from repro.pipeline.core import PLANE_CHANNEL, PLANE_HTTP, PLANE_ORB, Pipeline
 from repro.orb import ObjectRef, Orb, OrbError, ServiceOffer
 from repro.orb.idl import validate_servant
@@ -69,33 +71,63 @@ if TYPE_CHECKING:  # pragma: no cover
 SERVICE_ID = "DISCOVER"
 
 
+@dataclass(frozen=True)
+class ServerConfig:
+    """Every per-server setting of a deployment, in one immutable value.
+
+    The paper runs one identical server instance per domain; a
+    deployment builds each of its servers from one ``ServerConfig``, and
+    a restarted server is rebuilt from the config its predecessor held.
+    """
+
+    #: bound on each client's FIFO update buffer (A2 ablation)
+    client_buffer_capacity: float = float("inf")
+    #: timeout for every peer-network call: trader, naming, peers, and
+    #: the directory plane
+    peer_call_timeout: float = 30.0
+    #: how updates for remote apps reach this server: "push" (home server
+    #: sends one message per subscribed peer) or "poll" (this server
+    #: polls the CorbaProxy — the paper's literal §5.2.3 description;
+    #: ablation A4 compares them)
+    update_mode: str = "push"
+    update_poll_interval: float = 0.5
+    #: how clients reach remote applications: "relay" (this server
+    #: forwards over CORBA — the paper's middleware path) or "redirect"
+    #: (the §4.1 "request redirection" auxiliary service: the portal is
+    #: told to connect to the home server directly)
+    remote_access: str = "relay"
+    health_period: float = 0.5
+    health_gossip_period: Optional[float] = None
+    health_enabled: bool = True
+    storage_snapshot_every: int = DEFAULT_SNAPSHOT_EVERY
+    timeseries_bucket_width: float = DEFAULT_BUCKET_WIDTH
+    #: False removes the cost ledger entirely (overhead-bench control arm)
+    accounting_enabled: bool = True
+
+    def __post_init__(self) -> None:
+        if self.update_mode not in ("push", "poll"):
+            raise ValueError(f"unknown update_mode {self.update_mode!r}")
+        if self.remote_access not in ("relay", "redirect"):
+            raise ValueError(f"unknown remote_access {self.remote_access!r}")
+
+
 class DiscoverServer:
     """A DISCOVER interaction and collaboration server on one host."""
 
-    def __init__(self, host: "Host", *, domain: Optional[str] = None,
+    def __init__(self, host: "Host", *,
+                 config: ServerConfig = ServerConfig(),
                  cost_model: Optional[CostModel] = None,
                  naming_ref: Optional[ObjectRef] = None,
                  trader_ref: Optional[ObjectRef] = None,
-                 client_buffer_capacity: float = float("inf"),
-                 peer_call_timeout: float = 30.0,
-                 update_mode: str = "push",
-                 update_poll_interval: float = 0.5,
-                 remote_access: str = "relay",
-                 http_port: int = 80,
                  tracer=None,
-                 health_period: float = 0.5,
-                 health_gossip_period: Optional[float] = None,
-                 health_enabled: bool = True,
                  log_sink=None,
                  storage: Optional[StorageBackend] = None,
-                 storage_snapshot_every: int = DEFAULT_SNAPSHOT_EVERY,
-                 timeseries_bucket_width: float = 0.25,
-                 ledger=None,
-                 accounting_enabled: bool = True) -> None:
+                 ledger=None) -> None:
         self.host = host
         self.sim = host.sim
         self.name = host.name
-        self.domain = domain or host.domain
+        self.domain = host.domain
+        self.config = config
         self.costs = cost_model or CostModel()
         self.naming_ref = naming_ref
         self.trader_ref = trader_ref
@@ -105,21 +137,6 @@ class DiscoverServer:
         #: single (sharded) directory lookup instead of a peer fan-out
         self.directory = None
         self.directory_metrics = DirectoryMetrics()
-        #: how updates for remote apps reach this server: "push" (home
-        #: server sends one message per subscribed peer, the default) or
-        #: "poll" (this server polls the CorbaProxy — the paper's literal
-        #: §5.2.3 description; ablation A4 compares them)
-        if update_mode not in ("push", "poll"):
-            raise ValueError(f"unknown update_mode {update_mode!r}")
-        self.update_mode = update_mode
-        self.update_poll_interval = update_poll_interval
-        #: how clients reach remote applications: "relay" (this server
-        #: forwards over CORBA — the paper's middleware path) or
-        #: "redirect" (the §4.1 "request redirection" auxiliary service:
-        #: the portal is told to connect to the home server directly)
-        if remote_access not in ("relay", "redirect"):
-            raise ValueError(f"unknown remote_access {remote_access!r}")
-        self.remote_access = remote_access
         self._schedules: Dict[str, Any] = {}
 
         # -- time-series telemetry plane (§ DESIGN 4h) ----------------------
@@ -129,7 +146,7 @@ class DiscoverServer:
         from repro.obs import TimeSeriesRegistry
         self.timeseries = TimeSeriesRegistry(
             clock=lambda: self.sim.now,
-            bucket_width=timeseries_bucket_width)
+            bucket_width=config.timeseries_bucket_width)
         self.directory_metrics.timeseries = self.timeseries
 
         # -- cost-attribution plane (§ DESIGN 4i) ---------------------------
@@ -138,11 +155,11 @@ class DiscoverServer:
         #: carries no server dimension, so fleet-wide attribution needs no
         #: merge); a standalone server creates its own.  Zero-event.
         from repro.obs import RequestCostLedger
-        if not accounting_enabled:
+        if not config.accounting_enabled:
             ledger = None  # overhead-bench control arm: no ledger at all
         elif ledger is None:
             ledger = RequestCostLedger(
-                self.sim, bucket_width=timeseries_bucket_width)
+                self.sim, bucket_width=config.timeseries_bucket_width)
         self.ledger = ledger
 
         # -- durable state plane (§ DESIGN 4g) ------------------------------
@@ -155,7 +172,7 @@ class DiscoverServer:
         self.journal = StateJournal(
             storage if storage is not None else MemoryBackend(),
             clock=lambda: self.sim.now,
-            snapshot_every=storage_snapshot_every,
+            snapshot_every=config.storage_snapshot_every,
             metrics=self.storage_metrics)
         self.journal.timeseries = self.timeseries
 
@@ -164,7 +181,8 @@ class DiscoverServer:
         self.locks = LockManager(on_grant=self._on_lock_grant,
                                  journal=self.journal)
         self.collab = CollaborationManager(
-            self.sim, self.name, buffer_capacity=client_buffer_capacity,
+            self.sim, self.name,
+            buffer_capacity=config.client_buffer_capacity,
             journal=self.journal)
         self.db = Database(journal=self.journal)
         self.archive = SessionArchive(self.sim, self.db)
@@ -190,7 +208,7 @@ class DiscoverServer:
                                  server=self.name, tracer=tracer,
                                  sink=log_sink)
         self.container = ServletContainer(
-            host, port=http_port, cost_model=self.costs,
+            host, cost_model=self.costs,
             pipeline=self._build_pipeline(PLANE_HTTP))
         self.daemon = DaemonService(
             self, pipeline=self._build_pipeline(PLANE_CHANNEL))
@@ -204,7 +222,8 @@ class DiscoverServer:
         self.federation_metrics.timeseries = self.timeseries
         self.registry = PeerRegistry(
             self.orb, self.name, trader_ref=trader_ref,
-            service_id=SERVICE_ID, call_timeout=peer_call_timeout,
+            service_id=SERVICE_ID,
+            call_timeout=config.peer_call_timeout,
             metrics=self.federation_metrics)
         self.router = AppRouter(self, self.registry)
         self.subscriptions = SubscriptionManager(self)
@@ -215,8 +234,9 @@ class DiscoverServer:
         #: the registry and the subscription manager no longer track
         #: liveness independently)
         self.health = HealthMonitor(
-            self, period=health_period,
-            gossip_period=health_gossip_period, enabled=health_enabled)
+            self, period=config.health_period,
+            gossip_period=config.health_gossip_period,
+            enabled=config.health_enabled)
         self.registry.health = self.health
         self.registry.log = self.log
 
@@ -272,22 +292,13 @@ class DiscoverServer:
         offer = ServiceOffer(SERVICE_ID, self.corba_ref,
                              {"server": self.name, "domain": self.domain})
         return (yield from self.orb.invoke(
-            self.trader_ref, "export", offer, timeout=self.peer_call_timeout))
+            self.trader_ref, "export", offer,
+            timeout=self.config.peer_call_timeout))
 
     @property
     def peers(self) -> Dict[str, ObjectRef]:
         """Peer server name → level-one reference (the registry's view)."""
         return self.registry.peers
-
-    @property
-    def peer_call_timeout(self) -> float:
-        """Timeout for peer-network calls (owned by the registry; stubs
-        created after a change pick up the new value)."""
-        return self.registry.call_timeout
-
-    @peer_call_timeout.setter
-    def peer_call_timeout(self, value: float) -> None:
-        self.registry.call_timeout = value
 
     def discover_peers(self):
         """Generator: find every other DISCOVER server via the trader."""
@@ -371,7 +382,7 @@ class DiscoverServer:
     def _bind_app(self, app_id: str, ref: ObjectRef):
         try:
             yield from self.orb.invoke(self.naming_ref, "rebind", app_id, ref,
-                                       timeout=self.peer_call_timeout)
+                                       timeout=self.config.peer_call_timeout)
         except OrbError:  # naming down: discovery degrades, serving works
             pass
 

@@ -276,4 +276,4 @@ def pool_for_server(server) -> ServicePool:
     if server.trader_ref is None:
         raise OrbError(f"server {server.name} has no trader configured")
     return ServicePool(server.orb, server.trader_ref,
-                       timeout=server.peer_call_timeout)
+                       timeout=server.config.peer_call_timeout)

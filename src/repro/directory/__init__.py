@@ -13,11 +13,10 @@ codebase.  This package scales both out:
   federation and the daemon import; *no other module may parse app ids*
   (AST-lint enforced by ``tools/check_pipeline_boundary.py``).
 - :mod:`repro.directory.shard` — the ORB servant holding one shard of
-  the user-directory + app-location maps (the storage half of the old
-  ``UserDirectoryService``).
+  the user-directory + app-location maps (the storage half).
 - :mod:`repro.directory.client` — ``DirectoryClient``: write-through to
   all R replicas, health-aware read failover, bounded stub cache with
-  ring-epoch invalidation (the lookup half of the old service).
+  ring-epoch invalidation (the lookup half).
 - :mod:`repro.directory.plane` — ``DirectoryPlane``: deploys the shard
   servants onto hosts, owns the live ref table and the ring, hands out
   per-server clients, kills/restarts replicas for fault drills.

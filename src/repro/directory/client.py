@@ -1,7 +1,6 @@
 """Client half of the sharded directory: routing, replication, failover.
 
-The old ``UserDirectoryService`` callers held one ``directory_ref`` and
-invoked it directly.  A :class:`DirectoryClient` instead:
+Servers never talk to a shard directly.  A :class:`DirectoryClient`:
 
 - routes every key through the shared :class:`~repro.directory.ring.HashRing`
   to its R replica shards,
@@ -212,7 +211,7 @@ class DirectoryClient:
         raise last_exc if last_exc is not None else CommFailure(
             f"no replicas reachable for {op} key={key!r}")
 
-    # -- directory API (generator methods, mirror the old servant) ---------
+    # -- directory API (generator methods) ---------------------------------
     def authenticate(self, user: str) -> bool:
         """Network-wide level-one authentication in one sharded lookup."""
         self._count("authenticates")

@@ -95,7 +95,7 @@ class DirectoryPlane:
         return self.make_client(
             server.orb, server_name=server.name, health=server.health,
             metrics=server.directory_metrics, log=server.log,
-            call_timeout=server.peer_call_timeout)
+            call_timeout=server.config.peer_call_timeout)
 
     # -- aggregation (in-process reads over the servants) ------------------
     def app_count(self) -> int:

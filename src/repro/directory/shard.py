@@ -1,9 +1,8 @@
-"""One shard of the directory: the storage half of the old §6.3 service.
+"""One shard of the §6.3 user directory: the storage half.
 
-``UserDirectoryService`` kept the whole network's ``user -> apps`` and
-``app -> location`` maps behind a single servant.  A
-:class:`DirectoryShardServant` holds only the slice of those maps whose
-keys hash to it, exposed over the ORB through :data:`DIRECTORY_SHARD`.
+A :class:`DirectoryShardServant` holds the slice of the network's
+``user -> apps`` and ``app -> location`` maps whose keys hash to it,
+exposed over the ORB through :data:`DIRECTORY_SHARD`.
 The lookup/replication logic lives client-side in
 :class:`repro.directory.client.DirectoryClient`; the servant is a plain
 keyed store plus the reverse indexes that make withdrawal O(affected
@@ -85,8 +84,13 @@ class DirectoryShardServant:
     def put_user_entry(self, user: str, app_id: str, summary: dict,
                        epoch: int) -> bool:
         self._gate(epoch)
-        self._by_user.setdefault(user, {})[app_id] = summary
+        apps = self._by_user.setdefault(user, {})
+        prior = apps.get(app_id)
+        apps[app_id] = summary
         server = summary.get("server", "")
+        if prior is not None and prior.get("server", "") != server:
+            # re-homed app: the old server no longer owns this entry
+            self._discard_server_entry(prior, user, app_id)
         if server:
             self._entries_by_server.setdefault(server, set()).add(
                 (user, app_id))
@@ -101,13 +105,17 @@ class DirectoryShardServant:
         if not apps:
             del self._by_user[user]
         if summary is not None:
-            server = summary.get("server", "")
-            entries = self._entries_by_server.get(server)
-            if entries is not None:
-                entries.discard((user, app_id))
-                if not entries:
-                    del self._entries_by_server[server]
+            self._discard_server_entry(summary, user, app_id)
         return summary is not None
+
+    def _discard_server_entry(self, summary: dict, user: str,
+                              app_id: str) -> None:
+        server = summary.get("server", "")
+        entries = self._entries_by_server.get(server)
+        if entries is not None:
+            entries.discard((user, app_id))
+            if not entries:
+                del self._entries_by_server[server]
 
     # -- app placement records --------------------------------------------
     def put_app(self, app_id: str, server: str, name: str,

@@ -177,7 +177,7 @@ class RemoteAppHandle(AppHandle):
         """Generator: relay the §5.2.2 select — or, in the §4.1
         ``redirect`` remote-access mode, send the portal to the
         application's home server instead."""
-        if self.server.remote_access == "redirect":
+        if self.server.config.remote_access == "redirect":
             return {"redirect": self.home, "app_id": self.app_id}
         info = yield from self._relay("get_interface", user)
         yield from self.server.subscriptions.attach(self)

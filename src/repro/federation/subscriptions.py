@@ -57,7 +57,7 @@ class SubscriptionManager:
         server) — the §5.2.3 contract is per-*server*, so the message cost
         stays one WAN round-trip per select, not per update.
         """
-        if self.server.update_mode == "push":
+        if self.server.config.update_mode == "push":
             yield from handle.subscribe(self.server.name)
             self.metrics.count("subscribes")
         else:
@@ -70,7 +70,7 @@ class SubscriptionManager:
         Plain call (logout is synchronous); the unsubscribe itself is a
         spawned process so session teardown never blocks on a WAN hop.
         """
-        if self.server.update_mode != "push":
+        if self.server.config.update_mode != "push":
             return  # pollers notice idleness on their own
         router = self.server.router
         for app_id in set(app_ids):
@@ -112,7 +112,7 @@ class SubscriptionManager:
         idle_rounds = 0
         skipped = 0
         while idle_rounds < 3 or server.collab.local_subscribers(app_id):
-            yield self.sim.timeout(server.update_poll_interval)
+            yield self.sim.timeout(server.config.update_poll_interval)
             if not server.collab.local_subscribers(app_id):
                 idle_rounds += 1
                 continue

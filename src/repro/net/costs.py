@@ -44,8 +44,6 @@ class CostModel:
     corba_call_cost: float = 0.006
     #: per-byte marshalling cost (CDR encode + decode)
     corba_per_byte: float = 8.0e-8
-    #: naming-service resolve cost at the naming host
-    naming_resolve_cost: float = 0.003
     #: trader query cost per offer examined
     trader_match_cost: float = 0.0008
 

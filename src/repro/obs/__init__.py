@@ -25,12 +25,14 @@ from repro.obs.render import (format_critical_path, format_trace_summary,
                               format_trace_tree)
 from repro.obs.span import Span, TraceContext
 from repro.obs.store import PathSegment, SpanNode, SpanStore
-from repro.obs.timeseries import TimeSeriesRegistry, to_chrome_counters
+from repro.obs.timeseries import (DEFAULT_BUCKET_WIDTH, TimeSeriesRegistry,
+                                  to_chrome_counters)
 from repro.obs.tracer import SAMPLE_ALWAYS, SAMPLE_OFF, Tracer
 
 __all__ = [
     "AccountingInterceptor",
     "COST_DIMENSIONS",
+    "DEFAULT_BUCKET_WIDTH",
     "DispatchProfiler",
     "MetricsRegistry",
     "PathSegment",

@@ -20,7 +20,7 @@ rebuilds exactly the pieces the paper uses:
 Every invocation charges the *server* host CPU the CORBA dispatch cost from
 the :class:`~repro.net.costs.CostModel` — this is where §6.2's "CORBA ...
 reduces performance when compared to a lower level socket based system"
-comes from, and experiment E11 measures it.
+comes from, and experiment E15 measures it.
 """
 
 from repro.orb.adapter import ObjectAdapter

@@ -6,7 +6,7 @@ purposes:
 
 1. **Byte accounting** — every message that crosses the simulated network is
    charged ``encoded_size(msg)`` bytes, so bandwidth and traffic experiments
-   (E3, E4, E11) measure something real rather than guessed constants.
+   (E3, E4, E15) measure something real rather than guessed constants.
 2. **A real codec** — ``decode(encode(x)) == x`` round-trips the full value
    model, which property tests verify with hypothesis.
 

@@ -38,6 +38,16 @@ def test_client_survived_the_outage(drill):
     assert row["commands_ok"] > 10 * row["commands_failed"]
 
 
+def test_restarted_victim_keeps_the_drill_timeout(drill):
+    """The restart rebuilds the victim from the config it held, so the
+    whole fleet ends with the drill's peer-call timeout."""
+    _row, collab, _merged = drill
+    assert len(collab.servers) == 3
+    for server in collab.servers.values():
+        assert server.config.peer_call_timeout == 0.5
+        assert server.registry.call_timeout == 0.5
+
+
 def test_merge_is_order_independent(drill):
     """Fleet quantiles are identical whether the per-server registries
     merge in name order, reversed, or shuffled — the exact-merge

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro import AppConfig, build_collaboratory, build_single_server
+from repro import (AppConfig, CostModel, ServerConfig, build_collaboratory,
+                   build_single_server)
 from repro.apps import SyntheticApp
 from repro.core.server import SERVICE_ID
 
@@ -24,6 +25,29 @@ def test_bootstrap_publishes_and_discovers():
     for server in collab.servers.values():
         assert len(server.peers) == 2
         assert server.name not in server.peers
+
+
+def test_every_server_is_built_from_the_one_config():
+    config = ServerConfig(peer_call_timeout=4.0, remote_access="redirect")
+    collab = build_collaboratory(3, apps_hosts_per_domain=1,
+                                 client_hosts_per_domain=1, server=config)
+    for server in collab.servers.values():
+        assert server.config is config
+        assert server.registry.call_timeout == 4.0
+
+
+def test_server_config_is_frozen():
+    with pytest.raises(AttributeError):
+        ServerConfig().peer_call_timeout = 1.0
+
+
+def test_trader_match_cost_comes_from_the_cost_model():
+    collab = build_collaboratory(
+        1, apps_hosts_per_domain=1, client_hosts_per_domain=1,
+        cost_model=CostModel(trader_match_cost=0.05))
+    assert collab.trader.match_cost == 0.05
+    assert build_single_server().trader.match_cost == \
+        CostModel().trader_match_cost
 
 
 def test_custom_domain_names():

@@ -3,9 +3,8 @@ policies/accounting, and poll-mode server-to-server updates."""
 
 import pytest
 
-from repro import AppConfig, PortalError, build_collaboratory
+from repro import AppConfig, PortalError, ServerConfig, build_collaboratory
 from repro.apps import SyntheticApp
-from repro.core.directory import UserDirectoryService
 from repro.core.policies import (
     PolicyManager,
     PolicyViolation,
@@ -13,6 +12,9 @@ from repro.core.policies import (
     TokenBucket,
     UsageLedger,
 )
+from repro.metrics import DirectoryMetrics
+from tests.conftest import drive
+from tests.directory.test_shard_client import make_plane, publish
 
 
 def cfg():
@@ -24,60 +26,81 @@ def run(collab, gen):
     return collab.sim.run(until=collab.sim.spawn(gen))
 
 
-# ------------------------- UserDirectoryService -----------------------------
+# ------------------- sharded directory: re-publish, withdrawal --------------
 
 def test_directory_publish_and_lookup():
-    d = UserDirectoryService()
-    d.publish_app("s1#a1", "s1", "wave", {"alice": "write", "bob": "read"})
-    d.publish_app("s2#a1", "s2", "cfd", {"alice": "read"})
-    assert d.authenticate("alice")
-    assert not d.authenticate("eve")
-    apps = {a["app_id"]: a for a in d.lookup("alice")}
+    sim, _net, plane, orb, _ = make_plane()
+    d = plane.make_client(orb, metrics=DirectoryMetrics())
+    publish(sim, d, app_id="s1#a1", acl={"alice": "write", "bob": "read"})
+    publish(sim, d, app_id="s2#a1", server="s2", acl={"alice": "read"})
+    assert drive(sim, d.authenticate("alice"))
+    assert not drive(sim, d.authenticate("eve"))
+    apps = {a["app_id"]: a for a in drive(sim, d.lookup("alice"))}
     assert set(apps) == {"s1#a1", "s2#a1"}
     assert apps["s1#a1"]["privilege"] == "write"
     assert apps["s2#a1"]["server"] == "s2"
-    assert d.lookup("bob")[0]["app_id"] == "s1#a1"
+    assert drive(sim, d.lookup("bob"))[0]["app_id"] == "s1#a1"
 
 
 def test_directory_withdraw():
-    d = UserDirectoryService()
-    d.publish_app("s1#a1", "s1", "wave", {"alice": "write"})
-    d.withdraw_app("s1#a1")
-    assert not d.authenticate("alice")
-    assert d.lookup("alice") == []
-    assert d.app_count() == 0
-    d.withdraw_app("ghost")  # idempotent
+    sim, _net, plane, orb, _ = make_plane()
+    d = plane.make_client(orb, metrics=DirectoryMetrics())
+    publish(sim, d, app_id="s1#a1", acl={"alice": "write"})
+    drive(sim, d.withdraw_app("s1#a1"))
+    assert not drive(sim, d.authenticate("alice"))
+    assert drive(sim, d.lookup("alice")) == []
+    assert plane.app_count() == 0
+    drive(sim, d.withdraw_app("ghost"))  # idempotent
 
 
 def test_directory_republish_replaces_acl():
-    d = UserDirectoryService()
-    d.publish_app("s1#a1", "s1", "wave", {"alice": "write"})
-    d.publish_app("s1#a1", "s1", "wave", {"bob": "read"})
-    assert not d.authenticate("alice")
-    assert d.authenticate("bob")
+    sim, _net, plane, orb, _ = make_plane()
+    d = plane.make_client(orb, metrics=DirectoryMetrics())
+    publish(sim, d, acl={"alice": "write"})
+    publish(sim, d, acl={"bob": "read"})
+    assert not drive(sim, d.authenticate("alice"))
+    assert drive(sim, d.authenticate("bob"))
+    assert plane.known_users() == ["bob"]
 
 
 def test_directory_withdraw_maintains_server_reverse_index():
-    d = UserDirectoryService()
-    d.publish_app("s1#a1", "s1", "wave", {"alice": "write"})
-    d.publish_app("s1#a2", "s1", "cfd", {"bob": "read"})
-    d.publish_app("s2#a1", "s2", "heat", {"alice": "read"})
-    d.withdraw_app("s1#a1")  # must leave only s1#a2 under s1
-    assert d.withdraw_server("s1") == 1
-    assert d.withdraw_server("s2") == 1
-    assert d.app_count() == 0 and d.known_users() == []
+    sim, _net, plane, orb, _ = make_plane()
+    d = plane.make_client(orb, metrics=DirectoryMetrics())
+    publish(sim, d, app_id="s1#a1", acl={"alice": "write"})
+    publish(sim, d, app_id="s1#a2", acl={"bob": "read"})
+    publish(sim, d, app_id="s2#a1", server="s2", acl={"alice": "read"})
+    drive(sim, d.withdraw_app("s1#a1"))  # must leave only s1#a2 under s1
+    assert drive(sim, d.withdraw_server("s1")) == 1
+    assert drive(sim, d.withdraw_server("s2")) == 1
+    assert plane.app_count() == 0 and plane.known_users() == []
 
 
 def test_directory_republish_moves_app_between_servers():
     # re-publishing the same app from a new server must re-home it in
-    # the reverse index, not leave a stale pointer at the old server
-    d = UserDirectoryService()
-    d.publish_app("x#a1", "s1", "wave", {"alice": "write"})
-    d.publish_app("x#a1", "s2", "wave", {"alice": "write"})
-    assert d.withdraw_server("s1") == 0
-    assert d.authenticate("alice")
-    assert d.withdraw_server("s2") == 1
-    assert not d.authenticate("alice")
+    # the reverse indexes, not leave a stale pointer at the old server
+    sim, _net, plane, orb, _ = make_plane()
+    d = plane.make_client(orb, metrics=DirectoryMetrics())
+    publish(sim, d, app_id="x#a1", server="s1", acl={"alice": "write"})
+    publish(sim, d, app_id="x#a1", server="s2", acl={"alice": "write"})
+    assert drive(sim, d.withdraw_server("s1")) == 0
+    assert drive(sim, d.authenticate("alice"))
+    assert drive(sim, d.locate_app("x#a1")) == "s2"
+    assert drive(sim, d.withdraw_server("s2")) == 1
+    assert not drive(sim, d.authenticate("alice"))
+
+
+def test_directory_withdraw_server_bulk():
+    sim, _net, plane, orb, _ = make_plane()
+    d = plane.make_client(orb, metrics=DirectoryMetrics())
+    publish(sim, d, app_id="s1#a1", acl={"alice": "write"})
+    publish(sim, d, app_id="s1#a2", acl={"alice": "read"})
+    publish(sim, d, app_id="s2#a1", server="s2", acl={"bob": "write"})
+    assert drive(sim, d.withdraw_server("s1")) == 2
+    assert plane.app_count() == 1
+    assert drive(sim, d.lookup("alice")) == []
+    assert drive(sim, d.lookup("bob"))[0]["app_id"] == "s2#a1"
+    assert drive(sim, d.withdraw_server("s1")) == 0  # idempotent
+    assert drive(sim, d.withdraw_server("ghost")) == 0
 
 
 def test_directory_backed_login_end_to_end():
@@ -120,19 +143,6 @@ def test_directory_login_rejects_unknown_user():
             return exc.status
 
     assert run(collab, scenario()) == 401
-
-
-def test_directory_withdraw_server_bulk():
-    d = UserDirectoryService()
-    d.publish_app("s1#a1", "s1", "wave", {"alice": "write"})
-    d.publish_app("s1#a2", "s1", "cfd", {"alice": "read"})
-    d.publish_app("s2#a1", "s2", "heat", {"bob": "write"})
-    assert d.withdraw_server("s1") == 2
-    assert d.app_count() == 1
-    assert d.lookup("alice") == []
-    assert d.lookup("bob")[0]["app_id"] == "s2#a1"
-    assert d.withdraw_server("s1") == 0  # idempotent
-    assert d.withdraw_server("ghost") == 0
 
 
 def test_directory_withdraws_on_server_shutdown():
@@ -283,8 +293,9 @@ def test_server_accounts_peer_usage_by_default():
 def test_poll_mode_delivers_remote_updates():
     collab = build_collaboratory(2, apps_hosts_per_domain=1,
                                  client_hosts_per_domain=1,
-                                 update_mode="poll",
-                                 update_poll_interval=0.2)
+                                 server=ServerConfig(
+                                     update_mode="poll",
+                                     update_poll_interval=0.2))
     collab.run_bootstrap()
     app = collab.add_app(1, SyntheticApp, "polled",
                          acl={"alice": "write"}, config=cfg())
@@ -307,7 +318,5 @@ def test_poll_mode_delivers_remote_updates():
 
 
 def test_poll_mode_validation():
-    from repro.core.deployment import build_collaboratory as bc
     with pytest.raises(ValueError):
-        bc(1, apps_hosts_per_domain=1, client_hosts_per_domain=1,
-           update_mode="carrier-pigeon")
+        ServerConfig(update_mode="carrier-pigeon")

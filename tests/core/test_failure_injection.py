@@ -6,7 +6,7 @@ determined at runtime" — the middleware must degrade, not break.
 
 import pytest
 
-from repro import AppConfig, PortalError, build_collaboratory
+from repro import AppConfig, PortalError, ServerConfig, build_collaboratory
 from repro.apps import SyntheticApp
 from repro.orb import CommFailure, ObjectNotFound
 
@@ -22,9 +22,9 @@ def run(collab, gen):
 
 def build_pair(peer_timeout=2.0):
     collab = build_collaboratory(2, apps_hosts_per_domain=1,
-                                 client_hosts_per_domain=1)
-    for server in collab.servers.values():
-        server.peer_call_timeout = peer_timeout
+                                 client_hosts_per_domain=1,
+                                 server=ServerConfig(
+                                     peer_call_timeout=peer_timeout))
     collab.run_bootstrap()
     return collab
 

@@ -14,6 +14,7 @@ import pytest
 from repro.apps import SyntheticApp
 from repro.bench.scenarios import run_recovery_drill
 from repro.core.deployment import build_collaboratory
+from repro.core.server import ServerConfig
 from repro.storage import JsonlBackend
 
 
@@ -67,7 +68,8 @@ def test_restart_rebuilds_all_planes_from_wal():
 
 
 def test_restart_recovers_from_snapshot_plus_tail():
-    collab = build_collaboratory(1, storage_snapshot_every=4)
+    collab = build_collaboratory(
+        1, server=ServerConfig(storage_snapshot_every=4))
     collab.run_bootstrap()
     server, app_id, s1, s2 = populate(collab)
     server.stop()
@@ -76,6 +78,22 @@ def test_restart_recovers_from_snapshot_plus_tail():
     assert report.snapshot_lsn > 0
     assert report.replayed < report.last_lsn  # most came from the snapshot
     assert_recovered(server2, app_id, s1, s2)
+    collab.stop()
+
+
+def test_restart_reuses_the_old_server_config():
+    config = ServerConfig(peer_call_timeout=0.5, update_mode="poll",
+                          storage_snapshot_every=32)
+    collab = build_collaboratory(2, apps_hosts_per_domain=1,
+                                 client_hosts_per_domain=1, server=config)
+    collab.run_bootstrap()
+    old = collab.server_of(1)
+    old.stop()
+
+    server2, _report = collab.restart_server(old.name)
+    assert server2.config == old.config == config
+    assert server2.registry.call_timeout == 0.5
+    assert server2.journal.snapshot_every == 32
     collab.stop()
 
 
@@ -101,7 +119,8 @@ def test_recovery_from_reopened_jsonl_directory(tmp_path):
         return JsonlBackend(tmp_path / name)
 
     collab = build_collaboratory(1, storage_backend_factory=factory,
-                                 storage_snapshot_every=6)
+                                 server=ServerConfig(
+                                     storage_snapshot_every=6))
     collab.run_bootstrap()
     server, app_id, s1, s2 = populate(collab)
     server.stop()
@@ -120,8 +139,8 @@ def test_journaling_is_zero_event_bookkeeping():
     """Same workload with and without aggressive snapshotting → identical
     virtual time (durability must never perturb the science)."""
     def run(snapshot_every):
-        collab = build_collaboratory(1,
-                                     storage_snapshot_every=snapshot_every)
+        collab = build_collaboratory(1, server=ServerConfig(
+            storage_snapshot_every=snapshot_every))
         collab.run_bootstrap()
         collab.add_app(0, SyntheticApp, "sim", acl={"alice": "write"})
         collab.sim.run(until=5.0)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import AppConfig, PortalError, build_collaboratory
+from repro import AppConfig, PortalError, ServerConfig, build_collaboratory
 from repro.apps import SyntheticApp
 
 
@@ -15,7 +15,7 @@ def cfg():
 def redirected():
     collab = build_collaboratory(2, apps_hosts_per_domain=1,
                                  client_hosts_per_domain=1,
-                                 remote_access="redirect")
+                                 server=ServerConfig(remote_access="redirect"))
     collab.run_bootstrap()
     app = collab.add_app(1, SyntheticApp, "far-app",
                          acl={"alice": "write"}, config=cfg())
@@ -29,9 +29,7 @@ def run(collab, gen):
 
 def test_redirect_mode_validation():
     with pytest.raises(ValueError):
-        build_collaboratory(1, apps_hosts_per_domain=1,
-                            client_hosts_per_domain=1,
-                            remote_access="teleport")
+        ServerConfig(remote_access="teleport")
 
 
 def test_open_follows_redirect_and_steers(redirected):

@@ -35,12 +35,17 @@ def test_write_through_then_lookup_via_another_client():
     writer = plane.make_client(orb, metrics=DirectoryMetrics())
     reader = plane.make_client(orb, metrics=DirectoryMetrics())
     publish(sim, writer)
+    publish(sim, writer, app_id="s2#a1", server="s2", acl={"alice": "read"})
     assert drive(sim, reader.authenticate("alice")) is True
     assert drive(sim, reader.authenticate("eve")) is False
-    apps = drive(sim, reader.lookup("alice"))
-    assert [a["app_id"] for a in apps] == ["s1#a1"]
+    apps = {a["app_id"]: a for a in drive(sim, reader.lookup("alice"))}
+    assert set(apps) == {"s1#a1", "s2#a1"}
+    assert apps["s1#a1"]["privilege"] == "write"
+    assert apps["s2#a1"]["server"] == "s2"
+    assert [a["app_id"] for a in drive(sim, reader.lookup("bob"))] \
+        == ["s1#a1"]
     assert drive(sim, reader.locate_app("s1#a1")) == "s1"
-    assert plane.app_count() == 1
+    assert plane.app_count() == 2
 
 
 def test_withdraw_app_cleans_user_entries():
@@ -49,7 +54,9 @@ def test_withdraw_app_cleans_user_entries():
     publish(sim, client)
     drive(sim, client.withdraw_app("s1#a1"))
     assert drive(sim, client.lookup("alice")) == []
+    assert not drive(sim, client.authenticate("alice"))
     assert plane.app_count() == 0
+    drive(sim, client.withdraw_app("ghost"))  # idempotent
 
 
 def test_withdraw_server_drops_everything_it_published():

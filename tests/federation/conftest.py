@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import AppConfig, build_collaboratory
+from repro import AppConfig, ServerConfig, build_collaboratory
 from repro.apps import SyntheticApp
 
 
@@ -21,9 +21,8 @@ def run(collab, gen):
 def pair():
     """Two servers, one long-running app homed at server 0."""
     collab = build_collaboratory(2, apps_hosts_per_domain=1,
-                                 client_hosts_per_domain=1)
-    for server in collab.servers.values():
-        server.peer_call_timeout = 2.0
+                                 client_hosts_per_domain=1,
+                                 server=ServerConfig(peer_call_timeout=2.0))
     collab.run_bootstrap()
     app = collab.add_app(0, SyntheticApp, "wave",
                          acl={"alice": "write", "bob": "read"},

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import build_collaboratory
+from repro import ServerConfig, build_collaboratory
 from repro.apps import SyntheticApp
 from repro.core.security import SecurityError
 from repro.federation import LocalAppHandle, RemoteAppHandle
@@ -60,7 +60,7 @@ def test_remote_open_relays_interface(pair):
 def test_remote_open_redirect_mode():
     collab = build_collaboratory(2, apps_hosts_per_domain=1,
                                  client_hosts_per_domain=1,
-                                 remote_access="redirect")
+                                 server=ServerConfig(remote_access="redirect"))
     collab.run_bootstrap()
     app = collab.add_app(0, SyntheticApp, "redirected",
                          acl={"alice": "write"}, config=cfg())

@@ -1,6 +1,6 @@
 """SubscriptionManager: push unsubscribe lifecycle and poll fallback."""
 
-from repro import build_collaboratory
+from repro import ServerConfig, build_collaboratory
 from repro.apps import SyntheticApp
 
 from tests.federation.conftest import cfg, run
@@ -71,10 +71,10 @@ def test_staleness_recorded_for_pushed_updates(pair):
 def _poll_collab():
     collab = build_collaboratory(2, apps_hosts_per_domain=1,
                                  client_hosts_per_domain=1,
-                                 update_mode="poll",
-                                 update_poll_interval=0.2)
-    for server in collab.servers.values():
-        server.peer_call_timeout = 1.0
+                                 server=ServerConfig(
+                                     update_mode="poll",
+                                     update_poll_interval=0.2,
+                                     peer_call_timeout=1.0))
     collab.run_bootstrap()
     app = collab.add_app(1, SyntheticApp, "polled",
                          acl={"alice": "write"}, config=cfg())

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.deployment import build_collaboratory, build_single_server
+from repro.core.server import ServerConfig
 from repro.health import STATUS_HEALTHY, STATUS_UNHEALTHY, STATUS_UNKNOWN
 
 
@@ -43,7 +44,7 @@ class TestHeartbeat:
     def test_disabled_monitor_spawns_nothing(self):
         c = build_collaboratory(1, apps_hosts_per_domain=1,
                                 client_hosts_per_domain=1,
-                                health_enabled=False)
+                                server=ServerConfig(health_enabled=False))
         c.run_bootstrap()
         server = c.server_of(0)
         collab_now = c.sim.now
@@ -101,7 +102,7 @@ class TestGossip:
     def test_gossip_converges_across_deployment(self):
         c = build_collaboratory(2, apps_hosts_per_domain=1,
                                 client_hosts_per_domain=1,
-                                health_gossip_period=0.5)
+                                server=ServerConfig(health_gossip_period=0.5))
         c.run_bootstrap()
         c.sim.run(until=c.sim.now + 4.0)
         a, b = c.server_of(0), c.server_of(1)

@@ -10,6 +10,7 @@ still trusted — a split-brain inside a single server.  Both now feed
 import pytest
 
 from repro.core.deployment import build_collaboratory
+from repro.core.server import ServerConfig
 from repro.health import STATUS_HEALTHY
 from repro.orb import CommFailure, RemoteException
 
@@ -17,7 +18,8 @@ from repro.orb import CommFailure, RemoteException
 @pytest.fixture()
 def pair():
     c = build_collaboratory(2, apps_hosts_per_domain=1,
-                            client_hosts_per_domain=1)
+                            client_hosts_per_domain=1,
+                            server=ServerConfig(peer_call_timeout=0.5))
     c.run_bootstrap()
     yield c
     c.stop()
@@ -65,7 +67,6 @@ def test_dead_peer_detected_through_live_traffic(pair):
     """Killing a server makes every subsystem's calls fail; the shared
     model converges without any dedicated prober."""
     a, b = pair.server_of(0), pair.server_of(1)
-    a.peer_call_timeout = 0.5
     b.stop()
 
     def probe():

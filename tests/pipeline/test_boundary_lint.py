@@ -17,6 +17,7 @@ def test_dispatch_modules_do_not_import_security_or_policies():
     assert "federation boundary OK" in proc.stdout
     assert "obs boundary OK" in proc.stdout
     assert "storage boundary OK" in proc.stdout
+    assert "server construction OK" in proc.stdout
 
 
 def test_federation_lint_catches_stub_usage(tmp_path):
@@ -125,3 +126,30 @@ def test_core_file_io_lint(tmp_path):
         "    journal.append('db.insert', state)\n"
         "    session = mgr.open_session()\n")  # method named open is fine
     assert lint.core_file_io(ok) == []
+
+
+def test_server_construction_lint(tmp_path):
+    """Only the deployment builders may call DiscoverServer(...); naming
+    the class (type hints, isinstance) and building a config stay legal."""
+    sys.path.insert(0, str(ROOT / "tools"))
+    try:
+        import check_pipeline_boundary as lint
+    finally:
+        sys.path.pop(0)
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "from repro.core import server as core\n"
+        "from repro.core.server import DiscoverServer\n"
+        "def spin_up(host):\n"
+        "    a = DiscoverServer(host)\n"
+        "    return a, core.DiscoverServer(host)\n")
+    hits = lint.server_constructions(bad)
+    assert [lineno for lineno, _ in hits] == [4, 5]
+    ok = tmp_path / "ok.py"
+    ok.write_text(
+        "from repro.core.server import DiscoverServer, ServerConfig\n"
+        "def check(server: DiscoverServer):\n"
+        "    assert isinstance(server, DiscoverServer)\n"
+        "    return ServerConfig(peer_call_timeout=1.0)\n")
+    assert lint.server_constructions(ok) == []
+    assert "src/repro/core/deployment.py" in lint.SERVER_BUILDER_MODULES

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Lint: architectural boundaries the refactors carved out must hold.
 
-Eight checks, all AST-based:
+Nine checks, all AST-based:
 
 1. **Pipeline boundary** — the three dispatch planes
    (``repro.web.container``, ``repro.orb.core``, ``repro.core.daemon``)
@@ -63,6 +63,14 @@ Eight checks, all AST-based:
    :class:`RequestCostLedger` API (``scoped`` / ``charge`` /
    ``account_frame_hop``) and read through ``snapshot()`` /
    ``partition_by()`` / ``top()`` / ``as_dict()``.
+
+9. **Server construction** — every server is built from a
+   :class:`~repro.core.server.ServerConfig` on one construction path:
+   ``DiscoverServer(...)`` is called only in ``repro.core.deployment``
+   (build and restart share ``Collaboratory._start_server``) and
+   ``repro.bench.fleet`` (``build_fleet``).  A server constructed
+   anywhere else is a deployment whose settings no restart can
+   reproduce.
 
 Usage: python tools/check_pipeline_boundary.py [repo_root]
 """
@@ -141,6 +149,11 @@ ACCOUNTING_ONLY_NAMES = frozenset({"CostVector", "SpaceSaving"})
 
 #: the one module allowed to use those names, relative to the repo root
 ACCOUNTING_MODULE = "src/repro/obs/accounting.py"
+
+#: the only modules allowed to construct a DiscoverServer, relative to
+#: the repo root
+SERVER_BUILDER_MODULES = ("src/repro/core/deployment.py",
+                          "src/repro/bench/fleet.py")
 
 
 def forbidden_imports(path: Path) -> list:
@@ -350,6 +363,22 @@ def accounting_leaks(path: Path) -> list:
     return hits
 
 
+def server_constructions(path: Path) -> list:
+    """(lineno, what) pairs for every ``DiscoverServer(...)`` call in
+    ``path`` (bare name or attribute, e.g. ``server.DiscoverServer``)."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    hits = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = (func.id if isinstance(func, ast.Name)
+                else func.attr if isinstance(func, ast.Attribute) else None)
+        if name == "DiscoverServer":
+            hits.append((node.lineno, "constructs DiscoverServer"))
+    return hits
+
+
 def core_file_io(path: Path) -> list:
     """(lineno, what) pairs for direct file I/O in a core module.
 
@@ -398,6 +427,7 @@ def main(argv) -> int:
     core_checked = 0
     timeseries_checked = 0
     accounting_checked = 0
+    server_checked = 0
     for path in sorted((root / "src" / "repro").rglob("*.py")):
         rel = path.relative_to(root)
         if not (fed_root in path.parents or path.parent == fed_root):
@@ -449,6 +479,12 @@ def main(argv) -> int:
                     f"{rel}:{lineno}: {what} — cost-vector/sketch "
                     f"internals stay in repro.obs.accounting; callers "
                     f"use the RequestCostLedger facade")
+        if str(rel) not in SERVER_BUILDER_MODULES:
+            server_checked += 1
+            for lineno, what in server_constructions(path):
+                failures.append(
+                    f"{rel}:{lineno}: {what} — servers come from a "
+                    f"ServerConfig via build_collaboratory / build_fleet")
         if core_root in path.parents or path.parent == core_root:
             core_checked += 1
             for lineno, what in core_file_io(path):
@@ -469,7 +505,8 @@ def main(argv) -> int:
           f"storage boundary OK ({storage_checked} modules clean, "
           f"{core_checked} core modules I/O-free); "
           f"time-series boundary OK ({timeseries_checked} modules clean); "
-          f"accounting boundary OK ({accounting_checked} modules clean)")
+          f"accounting boundary OK ({accounting_checked} modules clean); "
+          f"server construction OK ({server_checked} modules clean)")
     return 0
 
 
