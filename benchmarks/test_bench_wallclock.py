@@ -86,8 +86,8 @@ def test_health_plane_overhead_under_5_percent(benchmark):
         return time.perf_counter() - t0
 
     def measure():
-        # warm both arms first (lazy numpy percentile machinery, import
-        # costs) so neither measured minimum carries one-time work, then
+        # warm both arms first (import costs, first-run allocations) so
+        # neither measured minimum carries one-time work, then
         # interleave rounds so drift hits both arms equally.  Minima only
         # converge downward, so keep adding rounds until the ratio settles
         # comfortably under the bound; a genuinely slow health plane stays

@@ -152,10 +152,14 @@ class HealthMonitor:
         self.slos.observe()
 
     def _record_health_series(self) -> None:
-        """Status-count gauges and a transitions counter, per tick."""
+        """Status-count gauges and a transitions counter, per tick.
+
+        A status held by no component this tick reads 0 — it is written
+        on the tick it drops out, so its gauge never keeps a stale count.
+        """
         ts = self.timeseries
         statuses = self.model.statuses()
-        counts: Dict[str, int] = {}
+        counts = dict.fromkeys(self._last_statuses.values(), 0)
         transitions = 0
         for key, status in statuses.items():
             counts[status] = counts.get(status, 0) + 1

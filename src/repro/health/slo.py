@@ -36,7 +36,8 @@ no events, no messages, no CPU charges.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import (Any, Callable, Deque, Dict, List, Optional, Sequence,
+                    Tuple)
 
 from repro.obs import TimeSeriesRegistry
 
@@ -288,26 +289,31 @@ class SLOEngine:
         at the sustainable rate, ``k`` means ``k``× too fast.
         """
         spec, _fn = self._specs[name]
-        return self._burn(spec, self._clock(), window)
+        [(total, bad)] = self._windows(name, self._clock(), (window,))
+        return self._burn(spec, total, bad)
 
-    def _window(self, name: str, now: float,
-                window: float) -> Tuple[float, float]:
-        """(total, bad) increments in the trailing ``window``."""
-        cutoff = now - window
-        return (self.timeseries.window_sum(f"slo.{name}.total", cutoff),
-                self.timeseries.window_sum(f"slo.{name}.bad", cutoff))
+    def _windows(self, name: str, now: float,
+                 windows: Sequence[float]) -> List[Tuple[float, float]]:
+        """(total, bad) increments in each trailing window — one walk of
+        each series serves every window."""
+        cutoffs = [now - window for window in windows]
+        totals = self.timeseries.window_sums(f"slo.{name}.total", cutoffs)
+        bads = self.timeseries.window_sums(f"slo.{name}.bad", cutoffs)
+        return list(zip(totals, bads))
 
-    def _burn(self, spec: SLOSpec, now: float, window: float) -> float:
-        total, bad = self._window(spec.name, now, window)
+    @staticmethod
+    def _burn(spec: SLOSpec, total: float, bad: float) -> float:
         if total <= 0:
             return 0.0
         return (bad / total) / spec.budget
 
     def _evaluate(self, spec: SLOSpec, now: float) -> None:
-        for severity, (short, long_, factor) in (
-                (SEVERITY_PAGE, spec.fast), (SEVERITY_TICKET, spec.slow)):
-            burn_short = self._burn(spec, now, short)
-            burn_long = self._burn(spec, now, long_)
+        windows = (spec.fast[0], spec.fast[1], spec.slow[0], spec.slow[1])
+        burns = [self._burn(spec, total, bad)
+                 for total, bad in self._windows(spec.name, now, windows)]
+        for severity, (short, long_, factor), (burn_short, burn_long) in (
+                (SEVERITY_PAGE, spec.fast, burns[:2]),
+                (SEVERITY_TICKET, spec.slow, burns[2:])):
             firing = burn_short >= factor and burn_long >= factor
             if firing:
                 exemplars = (self.exemplar_fn(now - long_)
@@ -325,15 +331,16 @@ class SLOEngine:
         out = {}
         for name, (spec, _fn) in sorted(self._specs.items()):
             window = max(spec.fast[1], spec.slow[1])
-            total, bad = self._window(name, now, window)
+            (total, bad), fast, slow = self._windows(
+                name, now, (window, spec.fast[0], spec.slow[0]))
             sli = 1.0 - (bad / total) if total > 0 else 1.0
             out[name] = {
                 "kind": spec.kind,
                 "objective": spec.objective,
                 "sli": sli,
                 "compliant": sli >= spec.objective or total == 0,
-                "burn_fast": self._burn(spec, now, spec.fast[0]),
-                "burn_slow": self._burn(spec, now, spec.slow[0]),
+                "burn_fast": self._burn(spec, *fast),
+                "burn_slow": self._burn(spec, *slow),
                 "window_total": total,
                 "window_bad": bad,
             }

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import List, Sequence
@@ -138,28 +139,54 @@ class Reservoir:
     def percentile(self, q: float) -> float:
         """One sampled percentile, bit-identical to the matching
         :meth:`stats` field (``percentile(99) == stats().p99``); 0.0 when
-        empty."""
+        empty.  ``q`` outside [0, 100] raises :class:`ValueError`."""
+        if not 0.0 <= q <= 100.0:
+            raise ValueError("percentile q must be in the range [0, 100]")
         if self.count == 0:
             return 0.0
-        return float(np.percentile(np.asarray(self._samples, dtype=float),
-                                   q))
+        return _sorted_percentile(sorted(self._samples), q)
 
     def __len__(self) -> int:
         return len(self._samples)
 
 
+def _sorted_percentile(ordered: Sequence[float], q: float) -> float:
+    """numpy's default ("linear") percentile of ascending ``ordered``.
+
+    The virtual index ``(n-1) * q/100`` falls between two neighbouring
+    samples and the result interpolates them with numpy's two-sided
+    lerp, in plain floats, so it matches ``np.percentile`` bit for bit.
+    ``q`` must be in [0, 100] and ``ordered`` non-empty.
+    """
+    last = len(ordered) - 1
+    index = last * (q / 100)  # q in [0, 100] keeps it in [0, last]
+    lo = math.floor(index)
+    a = ordered[lo]
+    b = ordered[min(lo + 1, last)]
+    gamma = index - lo
+    if gamma >= 0.5:
+        return b - (b - a) * (1 - gamma)
+    return a + (b - a) * gamma
+
+
 def summarize(samples: Sequence[float]) -> SummaryStats:
-    """Reduce ``samples`` to :class:`SummaryStats` (empty → all zeros)."""
+    """Reduce ``samples`` to :class:`SummaryStats` (empty → all zeros).
+
+    numpy gives the mean and std (its pairwise sums); the percentiles
+    come from :func:`_sorted_percentile`, the same code as
+    :meth:`Reservoir.percentile`.
+    """
     if len(samples) == 0:
         return SummaryStats(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     arr = np.asarray(samples, dtype=float)
+    ordered = np.sort(arr).tolist()
     return SummaryStats(
         count=int(arr.size),
         mean=float(arr.mean()),
         std=float(arr.std()),
-        minimum=float(arr.min()),
-        p50=float(np.percentile(arr, 50)),
-        p90=float(np.percentile(arr, 90)),
-        p99=float(np.percentile(arr, 99)),
-        maximum=float(arr.max()),
+        minimum=ordered[0],
+        p50=_sorted_percentile(ordered, 50),
+        p90=_sorted_percentile(ordered, 90),
+        p99=_sorted_percentile(ordered, 99),
+        maximum=ordered[-1],
     )

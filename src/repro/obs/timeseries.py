@@ -24,7 +24,8 @@ facade (boundary lint #7); ``LogHistogram``/``TimeSeries`` are internal.
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
+                    Tuple)
 
 __all__ = [
     "LogHistogram",
@@ -320,20 +321,42 @@ class TimeSeries:
 
         This is the SLO engine's window rule: with observations recorded
         at bucket-aligned times, "bucket start > cutoff" is exactly
-        "observation time > cutoff" (see repro.health.slo).  Each tier is
-        walked newest-first and left at the first bucket at or before the
-        cutoff, so a tick costs the window's buckets, not the retention's.
-        Buckets add newest-first: exact for integer-valued counters (the
-        SLO series), within float rounding otherwise.
+        "observation time > cutoff" (see repro.health.slo).  The
+        single-cutoff case of :meth:`window_sums`.
         """
-        total = 0.0
+        return self.window_sums((cutoff,))[0]
+
+    def window_sums(self, cutoffs: Sequence[float]) -> List[float]:
+        """:meth:`window_sum` for every cutoff, in one walk of the series.
+
+        Each tier is walked newest-first and left at the first bucket at
+        or before the smallest cutoff, so a tick costs the widest
+        window's buckets, not the retention's.  Each sum then adds that
+        walk's buckets newest-first up to its own cutoff — the same
+        buckets in the same order as a walk of its own: exact for
+        integer-valued counters (the SLO series), within float rounding
+        otherwise.
+        """
+        sums = [0.0] * len(cutoffs)
+        if not sums:
+            return sums
+        widest = min(cutoffs)
         for t, tier in enumerate(self.tiers):
             w = self.width * (1 << t)
-            for index in reversed(tier):
-                if index * w <= cutoff:
+            window: List[Tuple[float, float]] = []
+            for index, value in reversed(tier.items()):
+                start = index * w
+                if start <= widest:
                     break
-                total += tier[index]
-        return total
+                window.append((start, value))
+            for k, cutoff in enumerate(cutoffs):
+                total = sums[k]
+                for start, value in window:
+                    if start <= cutoff:
+                        break
+                    total += value
+                sums[k] = total
+        return sums
 
     def merged_histogram(self, start: float, end: float) -> LogHistogram:
         merged = LogHistogram()
@@ -537,10 +560,15 @@ class TimeSeriesRegistry:
 
     def window_sum(self, name: str, cutoff: float) -> float:
         """Counter sum over buckets starting strictly after ``cutoff``."""
+        return self.window_sums(name, (cutoff,))[0]
+
+    def window_sums(self, name: str,
+                    cutoffs: Sequence[float]) -> List[float]:
+        """:meth:`window_sum` for each cutoff, in one walk of the series."""
         series = self._series.get(name)
         if series is None:
-            return 0.0
-        return series.window_sum(cutoff)
+            return [0.0] * len(cutoffs)
+        return series.window_sums(cutoffs)
 
     def histogram_summary(self, name: str, *, start: Optional[float] = None,
                           end: Optional[float] = None) -> Dict[str, float]:

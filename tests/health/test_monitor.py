@@ -67,6 +67,32 @@ class TestHeartbeat:
         assert all(not p.is_alive for p in procs)
 
 
+class TestHealthSeries:
+    def test_status_gauge_reads_zero_after_status_drops_out(self):
+        """A peer goes unhealthy, then recovers: the unhealthy gauge is
+        written back to 0 on the tick the status disappears instead of
+        keeping its last count."""
+        c = build_collaboratory(1)
+        server = c.server_of(0)
+        health, ts = server.health, server.timeseries
+        c.sim.run(until=0.9)
+        for _ in range(10):
+            health.note_peer_failure("ghost")
+        assert health.peer_status("ghost") == STATUS_UNHEALTHY
+        c.sim.run(until=1.1)
+        assert ts.query("health.status.unhealthy", "instant") == 1
+        for _ in range(10):
+            health.note_peer_success("ghost")
+        assert health.peer_status("ghost") == STATUS_HEALTHY
+        c.sim.run(until=6.0)
+        assert ts.query("health.status.unhealthy", "instant") == 0
+        points = ts.query("health.status.unhealthy", "points")
+        # one zero on the tick it dropped out, then no more writes
+        assert [p["value"] for p in points] == [1, 0]
+        assert ts.query("health.status.healthy", "instant") >= 2
+        c.stop()
+
+
 class TestGossip:
     def test_exchange_merges_and_answers(self, collab):
         server = collab.server_of(0)

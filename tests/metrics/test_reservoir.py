@@ -1,10 +1,15 @@
 """Reservoir: bounded memory with exact aggregates (the fix for the
 unbounded collector growth in PipelineMetrics / FederationMetrics)."""
 
+import random
+
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.metrics import FederationMetrics, PipelineMetrics, Reservoir
+from repro.metrics import (FederationMetrics, PipelineMetrics, Reservoir,
+                           summarize)
 
 
 def test_exact_aggregates_survive_subsampling():
@@ -187,3 +192,59 @@ def test_p99_shortcut_edge_cases():
     assert sample() is None  # an empty reservoir still reads None
     metrics.observe("http", latency=0.75)
     assert sample() == 0.75
+
+
+#: the percentiles the health tick and the summaries read, plus the ends
+PERCENTILES = (0, 1, 50, 90, 99, 99.9, 100)
+
+
+def _np_percentile(samples, q):
+    return float(np.percentile(np.asarray(samples, dtype=float), q))
+
+
+@st.composite
+def sample_sets(draw):
+    """1..2048 latency-like samples: a drawn pool of values (zeros and
+    sub-millisecond ones included) reused for duplicates, mixed with
+    fresh exponential draws at a drawn scale."""
+    n = draw(st.integers(min_value=1, max_value=2048))
+    pool = draw(st.lists(
+        st.one_of(st.just(0.0),
+                  st.floats(min_value=0.0, max_value=1e-3),
+                  st.floats(min_value=0.0, max_value=1e3)),
+        min_size=1, max_size=16))
+    dup_share = draw(st.sampled_from((0.0, 0.5, 0.95, 1.0)))
+    scale = draw(st.sampled_from((1e-5, 1e-3, 1.0)))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    return [rng.choice(pool) if rng.random() < dup_share
+            else rng.expovariate(1.0 / scale) for _ in range(n)]
+
+
+@given(sample_sets())
+@settings(max_examples=200, deadline=None)
+def test_percentile_is_bit_identical_to_numpy(samples):
+    """The plain-float percentile reproduces ``np.percentile``'s linear
+    interpolation bit for bit — in the reservoir and in summarize()."""
+    res = Reservoir(capacity=2048)
+    for v in samples:
+        res.add(v)
+    for q in PERCENTILES:
+        assert (res.percentile(q).hex()
+                == _np_percentile(samples, q).hex()), q
+    summary = summarize(samples)
+    for q, field in ((50, summary.p50), (90, summary.p90),
+                     (99, summary.p99)):
+        assert field.hex() == _np_percentile(samples, q).hex(), q
+    assert (summary.minimum, summary.maximum) == (min(samples),
+                                                  max(samples))
+
+
+@pytest.mark.parametrize("q", [-1, 101, -0.001, 100.001, float("nan")])
+def test_percentile_rejects_q_out_of_range(q):
+    res = Reservoir()
+    res.add(1.0)
+    with pytest.raises(ValueError):
+        res.percentile(q)
+    with pytest.raises(ValueError):
+        np.percentile(np.asarray([1.0]), q)
+

@@ -313,6 +313,62 @@ class TestRegistryQueries:
             assert merged.window_sum(cutoff) == expected
             assert expected == a.window_sum(cutoff) + b.window_sum(cutoff)
 
+    @staticmethod
+    def own_walk_window_sum(series, cutoff):
+        """One cutoff's own newest-first walk, tier by tier: the addition
+        order a multi-cutoff walk must reproduce for every cutoff."""
+        total = 0.0
+        for t, tier in enumerate(series.tiers):
+            w = series.width * (1 << t)
+            for index in sorted(tier, reverse=True):
+                if index * w <= cutoff:
+                    break
+                total += tier[index]
+        return total
+
+    @given(st.lists(st.tuples(st.floats(min_value=0.0, max_value=60.0),
+                              st.floats(min_value=1e-6, max_value=1e3)),
+                    min_size=1, max_size=200),
+           st.lists(st.floats(min_value=-1.0, max_value=61.0),
+                    min_size=0, max_size=6),
+           st.integers(min_value=1, max_value=6))
+    @settings(max_examples=100, deadline=None)
+    def test_window_sums_match_one_walk_per_cutoff(self, incs, cutoffs,
+                                                   max_buckets):
+        """Fractional increments (so a changed addition order would show)
+        through a ring small enough to evict into tier 1 and above: each
+        multi-cutoff sum equals the cutoff's own walk and window_sum,
+        bit for bit, whatever order the cutoffs come in."""
+        series = TimeSeries("c", "counter", width=0.5,
+                            max_buckets=max_buckets, n_tiers=3)
+        for now, n in sorted(incs):
+            series.inc(now, n)
+        cutoffs = cutoffs + [59.0, 40.0, 0.25, 40.0, -math.inf]
+        sums = series.window_sums(cutoffs)
+        for cutoff, got in zip(cutoffs, sums):
+            assert got.hex() == series.window_sum(cutoff).hex()
+            assert got.hex() == self.own_walk_window_sum(series,
+                                                         cutoff).hex()
+        assert series.window_sums([]) == []
+
+    def test_window_sums_across_tier_one_buckets(self):
+        """Cutoffs landing in tier 0, in tier 1, and past both."""
+        series = TimeSeries("c", "counter", width=1.0, max_buckets=4,
+                            n_tiers=3)
+        for second in range(12):
+            series.inc(float(second), 0.1 * (second + 1))
+        assert series.tiers[1]  # the oldest buckets were folded up
+        cutoffs = [10.5, 6.5, 3.0, -1.0]
+        sums = series.window_sums(cutoffs)
+        assert sums == [series.window_sum(c) for c in cutoffs]
+        assert sums == [self.own_walk_window_sum(series, c)
+                        for c in cutoffs]
+        # every retained bucket, oldest first: equal within rounding
+        assert sums[-1] == pytest.approx(
+            self.brute_window_sum(series, -1.0))
+        reg = TimeSeriesRegistry(bucket_width=1.0)
+        assert reg.window_sums("nope", cutoffs) == [0.0] * 4
+
     def test_exemplars_surface_through_registry(self):
         reg, clock = self.make()
         reg.observe("lat", 0.05, exemplar="span-1")

@@ -18,6 +18,7 @@ def test_dispatch_modules_do_not_import_security_or_policies():
     assert "obs boundary OK" in proc.stdout
     assert "storage boundary OK" in proc.stdout
     assert "server construction OK" in proc.stdout
+    assert "numpy-free health tick OK" in proc.stdout
 
 
 def test_federation_lint_catches_stub_usage(tmp_path):
@@ -153,3 +154,58 @@ def test_server_construction_lint(tmp_path):
         "    return ServerConfig(peer_call_timeout=1.0)\n")
     assert lint.server_constructions(ok) == []
     assert "src/repro/core/deployment.py" in lint.SERVER_BUILDER_MODULES
+
+
+def test_numpy_free_health_tick_lint(tmp_path):
+    """numpy imports and np/numpy names are flagged anywhere in a module
+    of the tick-path packages, and inside the two checked methods only —
+    a numpy-backed sibling method (summaries) stays legal."""
+    sys.path.insert(0, str(ROOT / "tools"))
+    try:
+        import check_pipeline_boundary as lint
+    finally:
+        sys.path.pop(0)
+    import ast
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "import numpy as np\n"
+        "from numpy.linalg import norm\n"
+        "def p99(xs):\n"
+        "    return numpy.percentile(np.asarray(xs), 99)\n")
+    hits = lint.numpy_refs(ast.parse(bad.read_text()))
+    assert sorted(what for _, what in hits) == [
+        "imports numpy", "imports numpy.linalg", "uses 'np'",
+        "uses 'numpy'"]
+    stats = tmp_path / "stats.py"
+    stats.write_text(
+        "import numpy as np\n"
+        "class Reservoir:\n"
+        "    def stats(self):\n"
+        "        return np.mean(self._samples)\n"
+        "    def percentile(self, q):\n"
+        "        return float(np.percentile(self._samples, q))\n")
+    hits = lint.numpy_method_refs(stats, "Reservoir", "percentile")
+    assert [lineno for lineno, _ in hits] == [6]
+    assert lint.numpy_method_refs(stats, "Reservoir", "stats") != []
+    assert lint.numpy_method_refs(stats, "Reservoir", "p99") == [
+        (1, "is missing")]
+    helper = tmp_path / "helper.py"
+    helper.write_text(
+        "import numpy as np\n"
+        "def _lerp(ordered, q):\n"
+        "    return float(np.percentile(ordered, q))\n")
+    assert lint.numpy_method_refs(helper, None, "_lerp") == [
+        (3, "uses 'np'")]
+    assert lint.numpy_method_refs(helper, None, "Reservoir") == [
+        (1, "is missing")]
+    ok = tmp_path / "ok.py"
+    ok.write_text(
+        "import math\n"
+        "def percentile(ordered, q):\n"
+        "    numpy_like = ordered  # names merely containing numpy pass\n"
+        "    return numpy_like[math.floor((len(ordered) - 1) * q / 100)]\n")
+    assert lint.numpy_refs(ast.parse(ok.read_text())) == []
+    assert ("src/repro/metrics/stats.py", "Reservoir",
+            "percentile") in lint.NUMPY_FREE_METHODS
+    assert ("src/repro/metrics/stats.py", None,
+            "_sorted_percentile") in lint.NUMPY_FREE_METHODS

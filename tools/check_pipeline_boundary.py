@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Lint: architectural boundaries the refactors carved out must hold.
 
-Nine checks, all AST-based:
+Ten checks, all AST-based:
 
 1. **Pipeline boundary** — the three dispatch planes
    (``repro.web.container``, ``repro.orb.core``, ``repro.core.daemon``)
@@ -72,6 +72,15 @@ Nine checks, all AST-based:
    anywhere else is a deployment whose settings no restart can
    reproduce.
 
+10. **Numpy-free health tick** — the 0.5 s health tick runs on every
+    server, so nothing it reaches may call into numpy (whose
+    Python-level quantile path dominated the tick when it ran cold).
+    No reference to ``np`` / ``numpy`` (name or import) anywhere in
+    :mod:`repro.health`, :mod:`repro.obs` or :mod:`repro.pipeline`, nor
+    inside the metrics functions the tick calls:
+    ``Reservoir.percentile``, the ``_sorted_percentile`` helper it
+    interpolates with, and ``PipelineMetrics.latency_p99``.
+
 Usage: python tools/check_pipeline_boundary.py [repo_root]
 """
 
@@ -80,6 +89,7 @@ from __future__ import annotations
 import ast
 import sys
 from pathlib import Path
+from typing import Optional
 
 #: dispatch-plane modules, relative to the repo root
 DISPATCH_MODULES = (
@@ -154,6 +164,22 @@ ACCOUNTING_MODULE = "src/repro/obs/accounting.py"
 #: the repo root
 SERVER_BUILDER_MODULES = ("src/repro/core/deployment.py",
                           "src/repro/bench/fleet.py")
+
+#: packages on the health tick path that must not reference numpy at all,
+#: relative to the repo root
+NUMPY_FREE_PACKAGES = ("src/repro/health", "src/repro/obs",
+                       "src/repro/pipeline")
+
+#: (module, class, method) the health tick calls outside those packages;
+#: class None is a module-level function
+NUMPY_FREE_METHODS = (
+    ("src/repro/metrics/stats.py", "Reservoir", "percentile"),
+    ("src/repro/metrics/stats.py", None, "_sorted_percentile"),
+    ("src/repro/metrics/collectors.py", "PipelineMetrics", "latency_p99"),
+)
+
+#: the names numpy goes by
+NUMPY_NAMES = frozenset({"np", "numpy"})
 
 
 def forbidden_imports(path: Path) -> list:
@@ -379,6 +405,42 @@ def server_constructions(path: Path) -> list:
     return hits
 
 
+def numpy_refs(tree: ast.AST) -> list:
+    """(lineno, what) pairs for every numpy reference under ``tree``:
+    an ``import numpy`` / ``from numpy... import`` or a bare ``np`` /
+    ``numpy`` name (``np.percentile`` is an attribute of one)."""
+    hits = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+        elif isinstance(node, ast.Name) and node.id in NUMPY_NAMES:
+            hits.append((node.lineno, f"uses {node.id!r}"))
+            continue
+        else:
+            continue
+        for module in modules:
+            if module.split(".")[0] == "numpy":
+                hits.append((node.lineno, f"imports {module}"))
+    return hits
+
+
+def numpy_method_refs(path: Path, cls: Optional[str], method: str) -> list:
+    """:func:`numpy_refs` inside ``cls.method`` of ``path`` (a
+    module-level function when ``cls`` is None); a missing method is
+    itself a hit (the lint must not pass by a rename)."""
+    body = ast.parse(path.read_text(), filename=str(path)).body
+    if cls is not None:
+        body = next((node.body for node in body
+                     if isinstance(node, ast.ClassDef) and node.name == cls),
+                    [])
+    for item in body:
+        if isinstance(item, ast.FunctionDef) and item.name == method:
+            return numpy_refs(item)
+    return [(1, "is missing")]
+
+
 def core_file_io(path: Path) -> list:
     """(lineno, what) pairs for direct file I/O in a core module.
 
@@ -428,6 +490,14 @@ def main(argv) -> int:
     timeseries_checked = 0
     accounting_checked = 0
     server_checked = 0
+    numpy_free_roots = [root / rel for rel in NUMPY_FREE_PACKAGES]
+    numpy_checked = 0
+    for rel, cls, method in NUMPY_FREE_METHODS:
+        name = f"{cls}.{method}" if cls else method
+        for lineno, what in numpy_method_refs(root / rel, cls, method):
+            failures.append(
+                f"{rel}:{lineno}: {name} {what} — the health tick path "
+                f"stays numpy-free")
     for path in sorted((root / "src" / "repro").rglob("*.py")):
         rel = path.relative_to(root)
         if not (fed_root in path.parents or path.parent == fed_root):
@@ -485,6 +555,14 @@ def main(argv) -> int:
                 failures.append(
                     f"{rel}:{lineno}: {what} — servers come from a "
                     f"ServerConfig via build_collaboratory / build_fleet")
+        if any(pkg in path.parents for pkg in numpy_free_roots):
+            numpy_checked += 1
+            tree = ast.parse(path.read_text(), filename=str(path))
+            for lineno, what in numpy_refs(tree):
+                failures.append(
+                    f"{rel}:{lineno}: {what} — the health tick path "
+                    f"(repro.health / repro.obs / repro.pipeline) stays "
+                    f"numpy-free")
         if core_root in path.parents or path.parent == core_root:
             core_checked += 1
             for lineno, what in core_file_io(path):
@@ -506,7 +584,9 @@ def main(argv) -> int:
           f"{core_checked} core modules I/O-free); "
           f"time-series boundary OK ({timeseries_checked} modules clean); "
           f"accounting boundary OK ({accounting_checked} modules clean); "
-          f"server construction OK ({server_checked} modules clean)")
+          f"server construction OK ({server_checked} modules clean); "
+          f"numpy-free health tick OK ({numpy_checked} modules and "
+          f"{len(NUMPY_FREE_METHODS)} methods clean)")
     return 0
 
 
